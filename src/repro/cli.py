@@ -52,9 +52,9 @@ def _profiled(func, args: argparse.Namespace) -> tuple:
             f"compile {PHASE_TIMES['compile_s']:.3f}s",
             f"replicate {PHASE_TIMES['replicate_s']:.3f}s",
         ]
-        # The columnar engine splits replication into draw/advance/
-        # derive; show those phases only when it actually ran.
-        for key in ("draw_s", "advance_s", "derive_s"):
+        # The columnar engine splits replication into draw/streams/
+        # advance/derive; show those phases only when they actually ran.
+        for key in ("draw_s", "streams_s", "advance_s", "derive_s"):
             if PHASE_TIMES[key]:
                 parts.append(f"{key[:-2]} {PHASE_TIMES[key]:.3f}s")
         text += "batch engine phases: " + ", ".join(parts) + "\n"
@@ -495,11 +495,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.write:
         path = Path(args.write)
-        # Keep the hand-recorded campaign numbers across re-measurements.
-        existing = load_baseline(path)
-        if existing and "recorded" in existing:
-            results["recorded"] = existing["recorded"]
-        path.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
+        # Full and quick runs are baselines for their own kind only: a
+        # quick run's sections are filed under "quick_baseline" beside
+        # the full-run ones.
+        existing = load_baseline(path) or {}
+        if args.quick:
+            quick = {**existing.get("quick_baseline", {}), **results}
+            document = {**existing, "quick_baseline": quick}
+        else:
+            document = dict(results)
+            if "quick_baseline" in existing:
+                document["quick_baseline"] = existing["quick_baseline"]
+        path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {path}")
 
     if args.check:
@@ -881,7 +888,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--write",
         metavar="PATH",
-        help="write the measurements as JSON (e.g. BENCH_kernel.json)",
+        help="write the measurements as JSON (e.g. BENCH_kernel.json); "
+        "with --quick they go under the file's quick_baseline key, which "
+        "--quick --check compares against",
     )
     bench.add_argument(
         "--check",

@@ -123,11 +123,15 @@ PolicyLike = Union[str, ExecTimePolicy]
 
 #: Wall-clock accumulators for ``--profile`` reporting: scenario
 #: compilation (batch phase), the per-replication loops, and the
-#: columnar tier's draw / advance / derive phases.
+#: columnar tier's steps, each timing exactly its own work — variate
+#: draw, table-mode release-stream build (Python; the arithmetic path
+#: builds streams inside the advance kernel), kernel advance, kernel
+#: derive.
 PHASE_TIMES = {
     "compile_s": 0.0,
     "replicate_s": 0.0,
     "draw_s": 0.0,
+    "streams_s": 0.0,
     "advance_s": 0.0,
     "derive_s": 0.0,
 }

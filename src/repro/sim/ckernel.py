@@ -1,13 +1,19 @@
-"""Build and bind the columnar advance kernel (``_ckernel.c``).
+"""Build and bind the columnar C kernel (``_ckernel.c``).
 
-The columnar batch engine advances every replication's NP-FP schedule
-in one call into a small C kernel, compiled **on first use** with the
-host toolchain (``$CC``, else ``cc``/``gcc``/``clang``) into a cached
-shared object — no build-time extension, no new dependency.  Loading
-is strictly best-effort: any failure (no compiler, sandboxed tmpdir,
-ABI drift) records a reason and the batch layer silently falls back to
-the per-replication compiled loop, so the kernel is a pure
-accelerator, never a requirement.
+The columnar batch engine runs in three steps — draw in numpy, then
+advance and derive in C — and this module provides the C side: a
+small kernel compiled **on first use** with the host toolchain
+(``$CC``, else ``cc``/``gcc``/``clang``) into a cached shared object —
+no build-time extension, no new dependency.  It exports two entry
+points, bound as :attr:`Kernel.advance` (``columnar_advance``: the
+release streams, built in the kernel on the arithmetic path, plus
+every replication's NP-FP schedule) and :attr:`Kernel.derive`
+(``columnar_derive``: provenance folds and the monitored windowed
+disparity).  The ABI stamp is 4.  Loading is strictly best-effort: any
+failure (no compiler, sandboxed tmpdir, ABI drift) records a reason
+and the batch layer silently falls back to the per-replication
+compiled loop, so the kernel is a pure accelerator, never a
+requirement.
 
 Environment knobs:
 
@@ -16,7 +22,13 @@ Environment knobs:
 * ``REPRO_CKERNEL_CACHE`` — directory for the compiled ``.so``
   (default: ``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``, falling
   back to a per-user tempdir).  The object name embeds a hash of the C
-  source, so stale caches are never loaded after a source change.
+  source and the compile flags, so stale caches are never loaded after
+  a source change.
+* ``REPRO_CKERNEL_CFLAGS`` — compile flags replacing the default
+  ``-O2`` (e.g. ``-O1 -g -fsanitize=address,undefined`` for the
+  sanitizer CI leg, which runs with the sanitizer runtime preloaded).
+  The flags are part of the cached object's hash, so a sanitized
+  object is never loaded by a normal run.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import tempfile
@@ -31,7 +44,10 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 #: ABI stamp; must match ``REPRO_CKERNEL_ABI`` in ``_ckernel.c``.
-ABI_VERSION = 3
+ABI_VERSION = 4
+
+#: Compile flags when ``REPRO_CKERNEL_CFLAGS`` is unset.
+DEFAULT_CFLAGS = "-O2"
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
@@ -49,6 +65,7 @@ _P_F64 = ctypes.POINTER(ctypes.c_double)
 _ADVANCE_ARGTYPES = [
     _I64, _I64, _I64,          # sims, n, n_units
     _I64, _P_I64, _P_I32,      # stream_w, rel_times, rel_tids
+    _P_I32,                    # inst
     _I64,                      # duration
     _P_I64, _P_I64, _P_I64,    # bcet, wcet, span
     _P_I64,                    # periods
@@ -57,17 +74,36 @@ _ADVANCE_ARGTYPES = [
     _I64, _I64, _I64,          # policy_mode, let_mode, track
     _P_F64, _I64,              # variates, n_draws
     _P_I64,                    # offsets
-    _P_I64, _P_I64, _I64,      # dl_tab, dl_base, dl_slots
+    _P_I64, _P_I64, _P_I64,    # rel_tab, rel_base, rel_len
+    _I64,                      # rel_w
     _P_I64, _P_I64, _I64,      # job_base, job_cap, slots
     _P_I64, _P_I64, _P_I32,    # starts_out, fins_out, casc_out
     _P_I64, _P_I64,            # rec_out, viol_out
 ]
 
+#: ``columnar_derive`` signature (see ``_ckernel.c`` for the layout).
+_DERIVE_ARGTYPES = [
+    _I64, _I64, _I64,          # sims, n, n_src
+    _I64, _I64,                # duration, warmup
+    _I64, _I64,                # let_mode, track
+    _P_I64, _P_I32, _P_I32,    # periods, inst, src_col
+    _P_I32, _I64,              # order, n_order
+    _P_I64, _P_I32, _P_I64,    # edge_ptr, edge_src, edge_cap
+    _I64,                      # gid
+    _P_I64,                    # offsets
+    _P_I64, _P_I64, _P_I32,    # starts, fins, casc
+    _P_I64,                    # rec
+    _P_I64, _P_I64, _I64,      # job_base, job_cap, slots
+    _P_I64, _P_I64, _P_I64,    # rel_tab, rel_base, rel_len
+    _I64,                      # rel_w
+    _P_I64,                    # out
+]
+
 
 class Kernel:
-    """A loaded kernel: the ctypes library plus its bound entry point."""
+    """A loaded kernel: the ctypes library plus its bound entry points."""
 
-    __slots__ = ("path", "lib", "advance")
+    __slots__ = ("path", "lib", "advance", "derive")
 
     def __init__(self, path: Path, lib: ctypes.CDLL) -> None:
         self.path = path
@@ -76,6 +112,10 @@ class Kernel:
         advance.argtypes = _ADVANCE_ARGTYPES
         advance.restype = _I64
         self.advance = advance
+        derive = lib.columnar_derive
+        derive.argtypes = _DERIVE_ARGTYPES
+        derive.restype = _I64
+        self.derive = derive
 
 
 def _cache_dir() -> Path:
@@ -106,7 +146,12 @@ def _compilers() -> List[str]:
     return found
 
 
-def _build(source: Path, target: Path) -> Optional[str]:
+def _cflags() -> List[str]:
+    """Compile flags: ``$REPRO_CKERNEL_CFLAGS`` or :data:`DEFAULT_CFLAGS`."""
+    return shlex.split(os.environ.get("REPRO_CKERNEL_CFLAGS") or DEFAULT_CFLAGS)
+
+
+def _build(source: Path, target: Path, cflags: List[str]) -> Optional[str]:
     """Compile ``source`` into ``target``; return a reason on failure."""
     compilers = _compilers()
     if not compilers:
@@ -115,12 +160,14 @@ def _build(source: Path, target: Path) -> Optional[str]:
     last = "compile failed"
     for cc in compilers:
         tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-o", str(tmp), str(source)]
+        cmd = [cc, *cflags, "-fPIC", "-shared", "-o", str(tmp), str(source)]
         try:
             proc = subprocess.run(
                 cmd, capture_output=True, text=True, timeout=120
             )
         except (OSError, subprocess.SubprocessError) as exc:
+            # A timed-out or vanished compiler may leave a partial object.
+            tmp.unlink(missing_ok=True)
             last = f"{cc}: {exc}"
             continue
         if proc.returncode != 0:
@@ -154,11 +201,14 @@ def _load_uncached() -> Tuple[Optional[Kernel], Optional[str]]:
         source_bytes = _SOURCE.read_bytes()
     except OSError as exc:
         return None, f"kernel source unreadable: {exc}"
-    digest = hashlib.sha256(source_bytes).hexdigest()[:16]
+    cflags = _cflags()
+    digest = hashlib.sha256(
+        source_bytes + b"\0" + " ".join(cflags).encode()
+    ).hexdigest()[:16]
     try:
         target = _cache_dir() / f"ckernel-abi{ABI_VERSION}-{digest}.so"
         if not target.exists():
-            reason = _build(_SOURCE, target)
+            reason = _build(_SOURCE, target, cflags)
             if reason is not None:
                 return None, reason
         lib = ctypes.CDLL(str(target))
@@ -181,6 +231,7 @@ def reset_kernel_state() -> None:
 
 __all__ = [
     "ABI_VERSION",
+    "DEFAULT_CFLAGS",
     "Kernel",
     "load_kernel",
     "reset_kernel_state",

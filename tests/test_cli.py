@@ -182,3 +182,61 @@ class TestCommands:
         with pytest.raises(ValueError):
             main(["campaign", "run", "--part", "ab", "--preset", "smoke",
                   "--shard", "3/2", "--out", "x.jsonl", "--quiet"])
+
+
+class TestBenchBaselines:
+    """A quick run is filed and checked against quick-run entries only."""
+
+    @staticmethod
+    def _fake_run(monkeypatch, speedup):
+        import repro.profile as profile
+
+        def fake(*, quick=False, kernels=()):
+            return {"schema": 1, "quick": quick,
+                    "batch": {"speedup": speedup}}
+
+        monkeypatch.setattr(profile, "run_benchmarks", fake)
+        monkeypatch.setattr(profile, "format_benchmarks", lambda doc: "")
+
+    def test_quick_check_compares_like_with_like(self):
+        from repro.profile import compare_to_baseline
+
+        baseline = {
+            "batch": {"speedup": 40.0},
+            "let": {"speedup": 100.0},
+            "quick_baseline": {"batch": {"speedup": 20.0}},
+        }
+        quick = {"quick": True, "batch": {"speedup": 19.0},
+                 "let": {"speedup": 60.0}}
+        # batch against its quick entry; let has none and keeps the
+        # full-run one.
+        messages = compare_to_baseline(quick, baseline)
+        assert len(messages) == 1 and messages[0].startswith("LET")
+        full = {"quick": False, "batch": {"speedup": 19.0}}
+        assert compare_to_baseline(full, baseline)[0].startswith("batch")
+
+    def test_write_files_quick_runs_beside_full_ones(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import json
+
+        path = tmp_path / "bench.json"
+        self._fake_run(monkeypatch, 40.0)
+        assert main(["bench", "--kernel", "batch", "--write", str(path)]) == 0
+        self._fake_run(monkeypatch, 20.0)
+        assert main(["bench", "--quick", "--kernel", "batch",
+                     "--write", str(path)]) == 0
+        document = json.loads(path.read_text())
+        assert document["batch"]["speedup"] == 40.0
+        assert document["quick_baseline"]["batch"]["speedup"] == 20.0
+        # A later full run keeps the quick entries.
+        self._fake_run(monkeypatch, 41.0)
+        assert main(["bench", "--kernel", "batch", "--write", str(path)]) == 0
+        document = json.loads(path.read_text())
+        assert document["batch"]["speedup"] == 41.0
+        assert document["quick_baseline"]["batch"]["speedup"] == 20.0
+        capsys.readouterr()
+        self._fake_run(monkeypatch, 19.0)
+        assert main(["bench", "--quick", "--kernel", "batch",
+                     "--check", str(path)]) == 0
+        assert "benchmark gate: OK" in capsys.readouterr().out
