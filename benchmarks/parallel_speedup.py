@@ -4,18 +4,18 @@ Usage::
 
     python -m benchmarks.parallel_speedup --preset default --jobs 4
 
-Runs the (a)/(b) sweep twice on the same preset — once with the
-implicit-semantics simulator fast path disabled and no worker pool
-(the seed's configuration), once with the fast path active and
-``--jobs`` workers — and writes the wall times, speedup, and worker
-utilization to ``benchmarks/out/parallel_speedup_<preset>_ab.json``.
+Runs the (a)/(b) sweep twice on the same preset — once as the seed ran
+it (every replication an independent general-loop
+``Simulator(loop="general")`` run, no worker pool), once as shipped
+(the batched replication tiers and ``--jobs`` workers) — and writes
+the wall times, speedup, and worker utilization to
+``benchmarks/out/parallel_speedup_<preset>_ab.json``.
 
-The two runs cover the same workload (same preset, same pre-derived
-per-graph seeds); their simulated series differ only in the uniform
-draw sequence, which the fast path inlines.  The speedup multiplies the
-single-core simulator gain with the process-level parallel gain; on a
-single-CPU host the latter is ~1x and the report's ``cpus`` field says
-so.
+Both runs cover the same workload (same preset, same pre-derived
+per-graph seeds) and produce the same series.  The speedup multiplies
+the single-core gain of batched replication over per-replication
+simulation with the process-level parallel gain; on a single-CPU host
+the latter is ~1x and the report's ``cpus`` field says so.
 """
 
 from __future__ import annotations
@@ -26,21 +26,53 @@ import os
 import time
 from pathlib import Path
 from typing import Optional, Sequence
+from unittest import mock
 
-import repro.sim.engine as engine
+import repro.experiments.fig6 as fig6
+import repro.sim.batch as batch
+import repro.sim.columnar as columnar
 from repro.experiments.fig6 import run_fig6_ab_timed
+from repro.sim.engine import simulate
+
+
+def baseline_seconds(config) -> float:
+    """Wall seconds of the seed's configuration of the (a)/(b) sweep.
+
+    Every replication runs as its own general-loop simulation
+    (``observed_disparity(engine="simulator")`` with the simulator
+    pinned to ``loop="general"``), serially.  Asserts that the
+    general loop ran and the columnar tier did not.
+    """
+    calls = {"general": 0, "columnar": 0}
+
+    def observed(session, task, *, policy_name, **kwargs):
+        return session.observed_disparity(
+            task, policy=policy_name, engine="simulator", **kwargs
+        )
+
+    def general(*args, **kwargs):
+        calls["general"] += 1
+        return simulate(*args, loop="general", **kwargs)
+
+    def counted(*args, **kwargs):
+        calls["columnar"] += 1
+        return columnar.run_columnar(*args, **kwargs)
+
+    with mock.patch.object(
+        fig6, "_max_observed_disparity", observed
+    ), mock.patch.object(batch, "simulate", general), mock.patch.object(
+        columnar, "run_columnar", counted
+    ):
+        started = time.perf_counter()
+        run_fig6_ab_timed(config, jobs=1)
+        elapsed = time.perf_counter() - started
+    assert calls["general"] > 0 and calls["columnar"] == 0, calls
+    return elapsed
 
 
 def measure_speedup(config, *, jobs: int = 4) -> dict:
-    """Baseline (seed-equivalent serial) vs optimized (fast loop + pool)."""
-    original = engine.Simulator._run_events_implicit
-    engine.Simulator._run_events_implicit = engine.Simulator._run_events_general
-    try:
-        started = time.perf_counter()
-        run_fig6_ab_timed(config, jobs=1)
-        baseline_s = time.perf_counter() - started
-    finally:
-        engine.Simulator._run_events_implicit = original
+    """Baseline (seed-equivalent serial) vs optimized (batched + pool)."""
+    baseline_s = baseline_seconds(config)
 
     started = time.perf_counter()
     _, timing = run_fig6_ab_timed(config, jobs=jobs)

@@ -1,11 +1,12 @@
 """Kernel-throughput benchmarks and the committed-baseline gate.
 
-The hot-path work (two-phase fast path in the engine, DAG-shared
-backward bounds) is guarded by two kinds of assertion:
+The hot-path work (the shared schedule core behind
+``Simulator(loop="auto")``, DAG-shared backward bounds) is guarded by
+two kinds of assertion:
 
 * **Structural** — properties of the current run alone, machine
-  independent: the fast path must beat the classic loop on the same
-  scenario, and the per-chain analysis cost must fall as the chain
+  independent: the shared core must beat the general loop (the
+  unoptimized reference) on the same scenario, and the per-chain analysis cost must fall as the chain
   count grows (prefix sharing + fixed-cost amortization).
 * **Regression gate** — the quick benchmark document compared against
   the committed ``BENCH_kernel.json`` via
@@ -52,8 +53,8 @@ def test_sim_kernel_throughput(benchmark):
 
 
 @pytest.mark.benchmark(group="kernel")
-def test_fastpath_beats_classic_loop(benchmark):
-    """The specialized loop must outrun the reference loop (same run)."""
+def test_fastpath_beats_general_loop(benchmark):
+    """The shared core must outrun the reference loop (same run)."""
     rng = random.Random(2023)
     scenario = generate_random_scenario(30, rng)
     graph = randomize_offsets(scenario.system.graph, rng)
@@ -75,17 +76,17 @@ def test_fastpath_beats_classic_loop(benchmark):
         return best
 
     times = benchmark.pedantic(
-        lambda: {"fast": run("fast"), "classic": run("classic")},
+        lambda: {"fast": run("auto"), "reference": run("general")},
         rounds=1,
         iterations=1,
     )
     print()
     print(
         f"fast {times['fast']*1000:.1f} ms vs "
-        f"classic {times['classic']*1000:.1f} ms "
-        f"({times['classic']/times['fast']:.2f}x)"
+        f"general {times['reference']*1000:.1f} ms "
+        f"({times['reference']/times['fast']:.2f}x)"
     )
-    assert times["fast"] < times["classic"]
+    assert times["fast"] < times["reference"]
 
 
 @pytest.mark.benchmark(group="kernel")

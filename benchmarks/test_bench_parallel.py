@@ -1,20 +1,22 @@
-"""Wall-clock speedup of the parallel experiment engine.
+"""Wall-clock speedup of the Fig. 6 harness over the seed's configuration.
 
 Measures the full Fig. 6 (a)/(b) sweep two ways on the same preset:
 
-* **baseline** — the harness as shipped in the seed: the
-  general-semantics event loop (the implicit-semantics fast path
-  disabled) driven serially (``jobs=1``);
-* **optimized** — the specialized implicit-semantics simulator loop
-  with per-graph work fanned across 4 worker processes.
+* **baseline** — the harness as the seed ran it: every replication an
+  independent general-loop simulation (``Simulator(loop="general")``),
+  driven serially (``jobs=1``);
+* **optimized** — the harness as shipped: batched replication (the
+  columnar tier when numpy and a C compiler are present) with
+  per-graph work fanned across 4 worker processes.
 
 The optimized run must be at least 2x faster.  Two independent factors
-multiply into that number: the simulator fast path (~2.4x on one core)
-and process-level parallelism (near-linear on real multicore; ~1x on a
-single-CPU container, where the pool can only time-slice).  Measuring
-end-to-end keeps the claim honest either way — the committed result in
-``out/parallel_speedup_ab.json`` records both wall times plus the
-worker utilization, so the contribution of each factor is visible.
+multiply into that number: batched replication over per-replication
+simulation on one core, and process-level parallelism (near-linear on
+real multicore; ~1x on a single-CPU container, where the pool can only
+time-slice).  Measuring end-to-end keeps the claim honest either way —
+the committed result in ``out/parallel_speedup_ab.json`` records both
+wall times plus the worker utilization, so the contribution of each
+factor is visible.
 
 Run ``python -m benchmarks.parallel_speedup --preset default`` for the
 default-preset measurement (minutes); this benchmark uses the bench

@@ -4,8 +4,8 @@ LET decouples data-flow timing from scheduling: jobs read at release
 and publish at their deadline.  The analysis here retargets the
 paper's disparity theorems to LET by swapping the per-chain
 backward-time bounds; the simulator supports LET via
-``simulate(..., semantics="let")``, which resolves to the two-phase
-fast path (LET data flow is pure release/deadline arithmetic — see
+``simulate(..., semantics="let")``, which runs on the shared schedule
+core (LET data flow is pure release/deadline arithmetic — see
 ``docs/performance.md``).
 
 For both sides of a LET study in one object, construct the session

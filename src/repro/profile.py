@@ -8,7 +8,7 @@ optimization work:
   on ``fig6``/``analyze``/``diagnose`` is a thin shim over it.
 * :func:`bench_sim_kernel` measures raw simulator throughput
   (completed jobs per wall-clock second) on a fixed WATERS-style
-  scenario — the quantity the two-phase fast path optimizes.
+  scenario — the quantity the shared schedule core optimizes.
 * :func:`bench_batch_kernel` measures the batched replication engine
   (:mod:`repro.sim.batch`) against the same replications run as
   independent simulations — a paired, in-process comparison whose
@@ -1404,6 +1404,17 @@ def format_benchmarks(results: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+#: Sections whose ``speedup`` ratio must not drop, with their message label.
+_SPEEDUP_SECTIONS = (
+    ("batch", "batch replication speedup"),
+    ("let", "LET batch speedup"),
+    ("columnar", "columnar replay speedup"),
+    ("fault", "faulted batch speedup"),
+    ("delta", "delta-replay speedup"),
+    ("structural", "structural-view speedup"),
+)
+
+
 def compare_to_baseline(
     current: Dict[str, Any],
     baseline: Dict[str, Any],
@@ -1438,69 +1449,16 @@ def compare_to_baseline(
                 f"{(1 - cur_rate / base_rate) * 100:.0f}% below the "
                 f"committed {base_rate:,.0f} jobs/s"
             )
-    cur_batch = current.get("batch")
-    base_batch = baseline.get("batch")
-    if cur_batch is not None and base_batch is not None:
-        cur_speedup = cur_batch["speedup"]
-        base_speedup = base_batch["speedup"]
+    for section, label in _SPEEDUP_SECTIONS:
+        cur_section = current.get(section)
+        base_section = baseline.get(section)
+        if cur_section is None or base_section is None:
+            continue
+        cur_speedup = cur_section["speedup"]
+        base_speedup = base_section["speedup"]
         if cur_speedup < base_speedup * (1.0 - tolerance):
             regressions.append(
-                f"batch replication speedup {cur_speedup:.2f}x is "
-                f"{(1 - cur_speedup / base_speedup) * 100:.0f}% below the "
-                f"committed {base_speedup:.2f}x"
-            )
-    cur_let = current.get("let")
-    base_let = baseline.get("let")
-    if cur_let is not None and base_let is not None:
-        cur_speedup = cur_let["speedup"]
-        base_speedup = base_let["speedup"]
-        if cur_speedup < base_speedup * (1.0 - tolerance):
-            regressions.append(
-                f"LET batch speedup {cur_speedup:.2f}x is "
-                f"{(1 - cur_speedup / base_speedup) * 100:.0f}% below the "
-                f"committed {base_speedup:.2f}x"
-            )
-    cur_columnar = current.get("columnar")
-    base_columnar = baseline.get("columnar")
-    if cur_columnar is not None and base_columnar is not None:
-        cur_speedup = cur_columnar["speedup"]
-        base_speedup = base_columnar["speedup"]
-        if cur_speedup < base_speedup * (1.0 - tolerance):
-            regressions.append(
-                f"columnar replay speedup {cur_speedup:.2f}x is "
-                f"{(1 - cur_speedup / base_speedup) * 100:.0f}% below the "
-                f"committed {base_speedup:.2f}x"
-            )
-    cur_fault = current.get("fault")
-    base_fault = baseline.get("fault")
-    if cur_fault is not None and base_fault is not None:
-        cur_speedup = cur_fault["speedup"]
-        base_speedup = base_fault["speedup"]
-        if cur_speedup < base_speedup * (1.0 - tolerance):
-            regressions.append(
-                f"faulted batch speedup {cur_speedup:.2f}x is "
-                f"{(1 - cur_speedup / base_speedup) * 100:.0f}% below the "
-                f"committed {base_speedup:.2f}x"
-            )
-    cur_delta = current.get("delta")
-    base_delta = baseline.get("delta")
-    if cur_delta is not None and base_delta is not None:
-        cur_speedup = cur_delta["speedup"]
-        base_speedup = base_delta["speedup"]
-        if cur_speedup < base_speedup * (1.0 - tolerance):
-            regressions.append(
-                f"delta-replay speedup {cur_speedup:.2f}x is "
-                f"{(1 - cur_speedup / base_speedup) * 100:.0f}% below the "
-                f"committed {base_speedup:.2f}x"
-            )
-    cur_structural = current.get("structural")
-    base_structural = baseline.get("structural")
-    if cur_structural is not None and base_structural is not None:
-        cur_speedup = cur_structural["speedup"]
-        base_speedup = base_structural["speedup"]
-        if cur_speedup < base_speedup * (1.0 - tolerance):
-            regressions.append(
-                f"structural-view speedup {cur_speedup:.2f}x is "
+                f"{label} {cur_speedup:.2f}x is "
                 f"{(1 - cur_speedup / base_speedup) * 100:.0f}% below the "
                 f"committed {base_speedup:.2f}x"
             )

@@ -10,11 +10,13 @@ changes the scenario), all of that is loop-invariant.
 
 :class:`CompiledScenario` hoists it: the scenario is compiled once
 into immutable tables, and each replication varies only the RNG-drawn
-inputs.  The per-replication schedule is then produced by a loop that
-is strictly cheaper than the engine's fast path:
+inputs.  The per-replication schedule is then produced by the one
+pure-Python NP-FP schedule loop besides the general-loop reference
+(:meth:`CompiledScenario._schedule`, which
+:class:`~repro.sim.engine.Simulator` runs on too):
 
-* the whole release stream is *precomputed*.  Within one instant the
-  fast path pops releases from its heap in the order of the static key
+* the whole release stream is *precomputed*.  Within one instant a
+  release heap pops releases in the order of the static key
   ``(time, k > 0, -period, -offset, tid)`` (initial releases carry the
   heapify order, i.e. plain ``tid``), which holds whenever offsets lie
   in ``[0, T]`` — so one vectorized sort per replication replaces every
@@ -33,20 +35,19 @@ is strictly cheaper than the engine's fast path:
   requires unique priorities per unit), with per-task pending counters
   carrying FIFO multiplicity;
 * only the backward closure of the monitored task records start and
-  finish times, and provenance is resolved by a specialized memoized
-  DP equal to the engine's ``_FastFlow`` resolver.
+  finish times, and provenance is resolved by a memoized DP over the
+  recorded schedule (:meth:`CompiledScenario._resolver`).
 
 Both communication semantics compile: under ``semantics="implicit"``
-data flow is resolved from recorded finish times (with the same
-cascade-depth side table the engine's fast path uses for zero-BCET
-compute tasks), under ``semantics="let"`` from the time-deterministic
+data flow is resolved from recorded finish times (with a
+cascade-depth side table the loop records for zero-BCET compute
+tasks), under ``semantics="let"`` from the time-deterministic
 LET publication/read instants, with an inline deadline check per
 finish.  The result is **byte-identical** to N independent
 :func:`simulate` calls under the same derived seeds (pinned by
 ``tests/test_sim_batch.py`` and ``tests/test_let_fastpath.py``);
 scenarios the compiled loop cannot handle — duplicate priorities on
-one unit, unmapped compute tasks, offsets outside ``[0, T]`` —
-transparently fall back to the plain
+one unit, unmapped compute tasks — transparently fall back to the plain
 :class:`~repro.sim.engine.Simulator` under the same semantics,
 preserving identity at the cost of the speedup.
 
@@ -63,9 +64,8 @@ shared with the parent.  Every view — offset-only or structural —
 implements the :class:`ScenarioView` protocol (``in_domain`` /
 ``delta_replay`` / ``reason`` / ``disparity`` / ``windowed_maxima`` /
 ``edit``), and edits whose result the compiled loop cannot replay
-(duplicate priorities, offsets pushed outside ``[0, T]`` by a period
-change) fall back to the per-replication simulator with identical
-results.
+(duplicate priorities) fall back to the per-replication simulator
+with identical results.
 
 :func:`run_batch` packages the common case: draw ``(seed, offsets)``
 pairs exactly like ``AnalysisSession.observed_disparity`` and return a
@@ -319,11 +319,13 @@ class CompiledScenario:
     be mapped to a unit and priorities to be unique per unit;
     ``ineligible_reasons`` lists *every* rule that failed (and
     ``ineligible_reason`` joins them), so one compile diagnoses every
-    fallback cause at once.  Ineligible scenarios (and replications
-    whose offsets leave ``[0, T]``) run through the plain simulator
-    instead — same results, no speedup.  Zero-BCET compute tasks are
-    eligible: the loop records the same cascade-depth side table the
-    engine's fast path uses, so same-instant sub-batch visibility
+    fallback cause at once.  Ineligible scenarios run through the
+    plain simulator instead — same results, no speedup; replications
+    whose offsets leave ``[0, T]`` replay on the heap-merge release
+    stream instead of the presorted delta stream.  The
+    :class:`~repro.sim.engine.Simulator` applies the same rule.
+    Zero-BCET compute tasks are eligible: the loop records a
+    cascade-depth side table, so same-instant sub-batch visibility
     replays exactly.
 
     ``semantics`` selects the communication model the replications
@@ -632,7 +634,7 @@ class CompiledScenario:
     def _release_stream(
         self, offsets: Sequence[Time], duration: Time
     ) -> Tuple[List[Time], List[int]]:
-        """All releases in exactly the fast path's pop order.
+        """All releases in exactly a release heap's pop order.
 
         Initial releases (``k = 0``) enter the release heap in task
         order at heapify time, so they tie-break by ``tid`` alone;
@@ -694,35 +696,41 @@ class CompiledScenario:
     ) -> Tuple[List[Time], List[int], List[List[Time]]]:
         """Table-mode release stream plus per-task kept-release tables.
 
-        Returns ``(rel_times, rel_tids, rels)``: the CPU release stream
-        in exactly the fast path's heap pop order, restricted to
-        releases the fault plan keeps, and per task (instantaneous ones
-        included) the sorted kept-release instants — the job-``k`` ->
-        release mapping the provenance resolver and LET deadlines read.
-
-        The static ``(time, k > 0, -period, -offset, tid)`` sort key of
-        :meth:`_release_stream` does not extend to drawn tables, so the
-        pop order is reproduced directly: a k-way merge with the same
-        seq discipline the fast path's release heap uses (initial
-        entries in task order, a successor entered at its predecessor's
-        pop).  Suppressed releases ride through the merge and are
-        filtered at pop — the fast path advances its heap on them too,
-        so the faulted pop order is the fault-free order filtered.
+        Draws every task's release table at ``offsets`` and masks it
+        with the fault plan, then merges the tables with
+        :meth:`_merge_releases`.
         """
         tables: List[List[Time]] = []
         masks: List[List[bool]] = []
-        rels: List[List[Time]] = []
-        plan = self.faults
         for tid, task in enumerate(self.tasks):
             table = release_table(task, seed, duration, offset=offsets[tid])
-            mask = kept_mask(plan, task.name, table)
             tables.append(table)
-            masks.append(mask)
-            rels.append(
-                table
-                if all(mask)
-                else [at for at, ok in zip(table, mask) if ok]
-            )
+            masks.append(kept_mask(self.faults, task.name, table))
+        return self._merge_releases(tables, masks)
+
+    def _merge_releases(
+        self, tables: List[List[Time]], masks: List[List[bool]]
+    ) -> Tuple[List[Time], List[int], List[List[Time]]]:
+        """The release stream of drawn tables, in heap pop order.
+
+        Returns ``(rel_times, rel_tids, rels)``: the CPU release stream
+        restricted to releases the ``masks`` keep, and per task
+        (instantaneous ones included) the sorted kept-release instants
+        — the job-``k`` -> release mapping the resolver and LET
+        deadlines read.
+
+        The static ``(time, k > 0, -period, -offset, tid)`` sort key of
+        :meth:`_release_stream` holds only for periodic releases at
+        offsets in ``[0, T]``, so every other stream is a k-way merge
+        with a release heap's seq discipline (initial entries in task
+        order, a successor entered at its predecessor's pop).
+        Suppressed releases ride through the merge and are filtered at
+        pop, so the faulted pop order is the fault-free order filtered.
+        """
+        rels = [
+            table if all(mask) else [at for at, ok in zip(table, mask) if ok]
+            for table, mask in zip(tables, masks)
+        ]
         rel_times: List[Time] = []
         rel_tids: List[int] = []
         heappush = heapq.heappush
@@ -759,27 +767,30 @@ class CompiledScenario:
         seed: int,
         duration: Time,
         policy: ExecTimePolicy,
-    ) -> Tuple[
-        List[List[Time]],
-        List[List[Time]],
-        List[int],
-        Optional[Dict[Tuple[int, int], int]],
-        Optional[List[List[Time]]],
-    ]:
+        drawn: Optional[Tuple[List[List[Time]], List[List[bool]]]] = None,
+    ) -> tuple:
         """One replication's schedule of the monitored closure.
 
-        Returns ``(starts, fins, completed, casc, rels)`` for the kept
-        tasks; the RNG stream (and hence every execution-time draw) is
-        identical to the engine loops under the same seed.  ``casc``
-        is the cascade-depth side table for zero-BCET scenarios
-        (implicit semantics only, ``None`` otherwise): per kept job
-        dispatched by a zero-time finish at the same instant, the
-        sub-batch depth the engine's fast path would record.  Under
-        LET the loop instead checks each finish against its job's
-        deadline, raising the engine's ``LET violation`` error.
-        ``rels`` is ``None`` on the arithmetic (periodic fault-free)
-        path; in table mode it holds each task's kept-release instants
-        (the job ``k`` -> release mapping downstream resolvers need).
+        The one pure-Python NP-FP schedule loop: the compiled tier
+        replays it per replication and the
+        :class:`~repro.sim.engine.Simulator` runs on it (recording
+        every task).  Returns ``(starts, fins, completed, casc, rels,
+        seqs)`` for the kept tasks; the RNG stream (and hence every
+        execution-time draw) is identical to the general loop under
+        the same seed.  ``casc`` is the cascade-depth side table for
+        zero-BCET scenarios (implicit semantics only, ``None``
+        otherwise): per kept job dispatched by a zero-time finish at
+        the same instant, its sub-batch depth.  Under LET the loop
+        instead checks each finish against its job's deadline, raising
+        the general loop's ``LET violation`` error.  ``rels`` is
+        ``None`` on the arithmetic (periodic fault-free, offsets in
+        ``[0, T]``) path; otherwise it holds each task's kept-release
+        instants (the job ``k`` -> release mapping the resolver needs).
+        ``seqs`` holds each kept job's dispatch sequence number, the
+        order in which same-instant finishes are processed.
+
+        ``drawn`` passes pre-drawn ``(tables, masks)`` release tables
+        (the Simulator draws its own) instead of drawing them here.
         """
         rng = random.Random(seed)
         rng_random = rng.random
@@ -801,7 +812,9 @@ class CompiledScenario:
         fast_uniform = policy is uniform_policy
         fast_wcet = policy is wcet_policy
 
-        if self._needs_tables:
+        if drawn is not None:
+            rel_times, rel_tids, rels = self._merge_releases(*drawn)
+        elif self._needs_tables or not self._offsets_in_domain(offsets):
             rel_times, rel_tids, rels = self._release_tables(
                 offsets, seed, duration
             )
@@ -815,9 +828,9 @@ class CompiledScenario:
         # Zero-BCET cascade tracking (implicit semantics): ``zrun[u]``
         # flags whether unit ``u``'s running job executes in zero time,
         # ``cur_batch[u]`` its dispatch's sub-batch depth; ``casc``
-        # collects depths for kept jobs exactly as the engine's fast
-        # path does.  LET replications instead count dispatches per
-        # task (``ndisp``) to check each finish against its deadline.
+        # collects depths for kept jobs.  LET replications instead
+        # count dispatches per task (``ndisp``) to check each finish
+        # against its deadline.
         track = self._track
         let_mode = self._let
         zrun = [False] * n_units
@@ -843,8 +856,10 @@ class CompiledScenario:
         counts = [0] * n
         starts: List[List[Time]] = [[] for _ in range(n)]
         fins: List[List[Time]] = [[] for _ in range(n)]
+        seqs: List[List[int]] = [[] for _ in range(n)]
         sa = [s.append for s in starts]
         fa = [f.append for f in fins]
+        qa = [q.append for q in seqs]
         fin_heap: List[Tuple[Time, int, int]] = [(sentinel, 0, -1)]
         fin_head = sentinel
         seq = 0
@@ -914,6 +929,7 @@ class CompiledScenario:
                             if keep[tid2]:
                                 sa[tid2](now)
                                 fa[tid2](now + exec_time)
+                                qa[tid2](seq)
                             if track:
                                 # Finishes drained at a release instant
                                 # belong to jobs dispatched earlier, so
@@ -942,6 +958,7 @@ class CompiledScenario:
                     if keep[tid]:
                         sa[tid](now)
                         fa[tid](now + exec_time)
+                        qa[tid](seq)
                     if track:
                         cur_batch[u] = 0
                         zrun[u] = exec_time == 0
@@ -987,6 +1004,7 @@ class CompiledScenario:
                     if keep[tid]:
                         sa[tid](now)
                         fa[tid](now + exec_time)
+                        qa[tid](seq)
                         if track and nb:
                             casc[(tid, len(starts[tid]) - 1)] = nb
                     if track:
@@ -1041,6 +1059,7 @@ class CompiledScenario:
                             if keep[tid2]:
                                 sa[tid2](now)
                                 fa[tid2](now + exec_time)
+                                qa[tid2](seq)
                                 if track and nb2:
                                     casc[(tid2, len(starts[tid2]) - 1)] = nb2
                             if track:
@@ -1063,7 +1082,7 @@ class CompiledScenario:
             if done and fs[-1] > duration:
                 done -= 1
             completed[tid] = done
-        return starts, fins, completed, casc, rels
+        return starts, fins, completed, casc, rels, seqs
 
     def _schedule_cached(
         self,
@@ -1071,13 +1090,7 @@ class CompiledScenario:
         seed: int,
         duration: Time,
         policy: ExecTimePolicy,
-    ) -> Tuple[
-        List[List[Time]],
-        List[List[Time]],
-        List[int],
-        Optional[Dict[Tuple[int, int], int]],
-        Optional[List[List[Time]]],
-    ]:
+    ) -> tuple:
         """:meth:`_schedule` through the bounded schedule memo.
 
         The schedule is a pure function of ``(offsets, seed, duration,
@@ -1108,7 +1121,7 @@ class CompiledScenario:
             self._sched_cache.put(key, found)
         return found
 
-    def _prov_resolver(
+    def _resolver(
         self,
         offsets: Sequence[Time],
         starts: List[List[Time]],
@@ -1117,26 +1130,32 @@ class CompiledScenario:
         casc: Optional[Dict[Tuple[int, int], int]] = None,
         rels: Optional[List[List[Time]]] = None,
     ):
-        """Memoized packed-provenance DP over one recorded schedule.
+        """Data flow over one recorded schedule: ``(writes, reads, prov)``.
 
-        Mirrors ``_FastFlow._prov_of``/``reads_of``/``_writes_upto``
-        folded into one closure.  Under implicit semantics writes at
-        ``t`` are visible to reads at ``t`` (``casc`` replays the
-        sub-batch order of same-instant zero-time finishes, exactly as
-        the engine's fast path does), the FIFO head among ``m``
-        visible writes on a capacity-``c`` channel is write
-        ``max(0, m - c)``, and provenance folds bottom-up as interned
-        bitmask + stamp pairs.  Under LET both sides are
-        time-deterministic: jobs read at their release, sources
-        publish at release, every other producer at its deadline (one
-        period after release), with CPU producers publishing only jobs
-        they completed within the horizon.
+        * ``writes(g, at, rkey)`` — how many writes of task ``g`` a read
+          at ``at`` sees.  Under implicit semantics writes at ``t`` are
+          visible to reads at ``t``, except that a same-instant write
+          of a zero-time job is visible only to reads in a later
+          sub-batch: the reader's key ``rkey`` is ``3 * depth + 2``
+          for a CPU read dispatched at cascade depth ``depth`` (from
+          ``casc``), 1 for an instantaneous job, and a zero-time write
+          dispatched at depth ``d`` carries ``3 * (d + 1)``.  Under LET
+          both sides are time-deterministic: sources publish at
+          release, every other producer at its deadline (one period
+          after release), CPU producers only jobs they completed
+          within the horizon.
+        * ``reads(g, k)`` — the ``(producer, write index)`` pairs job
+          ``k`` of task ``g`` read, in input-channel order: the FIFO
+          head among ``m`` visible writes on a capacity-``c`` channel
+          is write ``max(0, m - c)``.
+        * ``prov(g, k)`` — the packed provenance job ``k`` carries,
+          folded bottom-up over ``reads`` as interned bitmask + stamp
+          pairs and memoized per job.
 
         ``rels`` switches the release arithmetic: ``None`` keeps
-        ``offset + k * period``; in table mode job ``k`` of task ``g``
-        releases at ``rels[g][k]`` and counting a producer's releases
-        or publications up to an instant becomes a bisect over its
-        kept table (exactly ``_FastFlow._writes_upto``).
+        ``offset + k * period``; otherwise job ``k`` of task ``g``
+        releases at ``rels[g][k]`` and counting releases or
+        publications up to an instant is a bisect over that table.
         """
         periods = self.periods
         inst = self.inst
@@ -1150,6 +1169,59 @@ class CompiledScenario:
         pk_empty = pk.empty
         memo: List[dict] = [{} for _ in range(self.n)]
 
+        def writes(pg: int, at: Time, rkey: float) -> int:
+            if let_mode:
+                if rels is not None:
+                    if is_source[pg]:
+                        return bisect_right(rels[pg], at)
+                    mm = bisect_right(rels[pg], at - periods[pg])
+                else:
+                    po = offsets[pg]
+                    if at < po:
+                        return 0
+                    if is_source[pg]:
+                        return (at - po) // periods[pg] + 1
+                    mm = (at - po) // periods[pg]
+                if not inst[pg] and mm > completed[pg]:
+                    mm = completed[pg]
+                return mm
+            if inst[pg]:
+                if rels is not None:
+                    return bisect_right(rels[pg], at)
+                po = offsets[pg]
+                return 0 if at < po else (at - po) // periods[pg] + 1
+            fts = fins[pg]
+            mm = bisect_right(fts, at)
+            if casc is not None:
+                sts = starts[pg]
+                while (
+                    mm
+                    and fts[mm - 1] == at
+                    and sts[mm - 1] == at
+                    and 3 * (casc.get((pg, mm - 1), 0) + 1) > rkey
+                ):
+                    mm -= 1
+            return mm
+
+        def reads(g: int, k: int) -> List[Tuple[int, int]]:
+            if let_mode or inst[g]:
+                at = (
+                    rels[g][k] if rels is not None
+                    else offsets[g] + k * periods[g]
+                )
+                rkey = 1
+            else:
+                at = starts[g][k]
+                rkey = (
+                    3 * casc.get((g, k), 0) + 2 if casc is not None else 2
+                )
+            out = []
+            for pg, cap in in_edges[g]:
+                mm = writes(pg, at, rkey)
+                if mm:
+                    out.append((pg, mm - cap if mm > cap else 0))
+            return out
+
         def prov(g: int, k: int) -> tuple:
             mg = memo[g]
             got = mg.get(k)
@@ -1162,73 +1234,32 @@ class CompiledScenario:
                 )
                 p = pk_source(names[g], release)
             else:
-                if let_mode or inst[g]:
-                    at = (
-                        rels[g][k] if rels is not None
-                        else offsets[g] + k * periods[g]
-                    )
-                    rkey = 1
-                else:
-                    at = starts[g][k]
-                    rkey = (
-                        3 * casc.get((g, k), 0) + 2
-                        if casc is not None
-                        else 2
-                    )
-                reads = []
-                for pg, cap in in_edges[g]:
-                    po = offsets[pg]
-                    if let_mode:
-                        if rels is not None:
-                            if is_source[pg]:
-                                mm = bisect_right(rels[pg], at)
-                            else:
-                                mm = bisect_right(
-                                    rels[pg], at - periods[pg]
-                                )
-                                if not inst[pg] and mm > completed[pg]:
-                                    mm = completed[pg]
-                        elif at < po:
-                            mm = 0
-                        elif is_source[pg]:
-                            mm = (at - po) // periods[pg] + 1
-                        else:
-                            mm = (at - po) // periods[pg]
-                            if not inst[pg] and mm > completed[pg]:
-                                mm = completed[pg]
-                    elif inst[pg]:
-                        if rels is not None:
-                            mm = bisect_right(rels[pg], at)
-                        else:
-                            mm = (
-                                0 if at < po
-                                else (at - po) // periods[pg] + 1
-                            )
-                    else:
-                        fts = fins[pg]
-                        mm = bisect_right(fts, at)
-                        if casc is not None:
-                            sts = starts[pg]
-                            while (
-                                mm
-                                and fts[mm - 1] == at
-                                and sts[mm - 1] == at
-                                and 3 * (casc.get((pg, mm - 1), 0) + 1)
-                                > rkey
-                            ):
-                                mm -= 1
-                    if mm:
-                        reads.append((pg, mm - cap if mm > cap else 0))
-                if not reads:
+                rd = reads(g, k)
+                if not rd:
                     p = pk_empty
-                elif len(reads) == 1:
-                    p = prov(*reads[0])
+                elif len(rd) == 1:
+                    p = prov(*rd[0])
                 else:
-                    p = pk_merge(prov(pg, kk) for pg, kk in reads)
+                    p = pk_merge(prov(pg, kk) for pg, kk in rd)
             mg[k] = p
             return p
 
-        return prov
+        return writes, reads, prov
+
+    def _releases(
+        self,
+        gid: int,
+        offsets: Sequence[Time],
+        duration: Time,
+        rels: Optional[List[List[Time]]] = None,
+    ) -> int:
+        """Kept releases of task ``gid`` within the horizon."""
+        if rels is not None:
+            return len(rels[gid])
+        offset = offsets[gid]
+        if offset > duration:
+            return 0
+        return (duration - offset) // self.periods[gid] + 1
 
     def _monitored_count(
         self,
@@ -1240,12 +1271,7 @@ class CompiledScenario:
         gid = self.m_gid
         if not self.inst[gid]:
             return completed[gid]
-        if rels is not None:
-            return len(rels[gid])
-        offset = offsets[gid]
-        if offset > duration:
-            return 0
-        return (duration - offset) // self.periods[gid] + 1
+        return self._releases(gid, offsets, duration, rels)
 
     def disparity(
         self,
@@ -1259,22 +1285,20 @@ class CompiledScenario:
 
         Equals ``simulate()`` + :class:`DisparityMonitor` on the system
         with these ``offsets`` (listed in graph-task order) under the
-        same ``seed`` and ``policy``; replications the compiled loop
-        cannot handle run exactly that fallback.
+        same ``seed`` and ``policy``; ineligible scenarios run exactly
+        that fallback.
         """
         resolved = _resolve_policy(policy)
         t0 = _time.perf_counter()
         try:
-            if self.ineligible_reason is not None or not self._offsets_in_domain(
-                offsets
-            ):
+            if self.ineligible_reason is not None:
                 return self._fallback_disparity(
                     offsets, seed, duration, warmup, resolved
                 )
-            starts, fins, completed, casc, rels = self._schedule_cached(
+            starts, fins, completed, casc, rels, _ = self._schedule_cached(
                 offsets, seed, duration, resolved
             )
-            prov = self._prov_resolver(
+            _, _, prov = self._resolver(
                 offsets, starts, fins, completed, casc, rels
             )
             gid = self.m_gid
@@ -1314,22 +1338,19 @@ class CompiledScenario:
         ``_WindowedDisparity`` observer: completed jobs released at or
         after ``start`` are bucketed into consecutive windows of length
         ``window``; windows without a sample read 0.  Requires an
-        eligible scenario and in-domain offsets (callers check
-        :attr:`eligible`; the offset search draws in ``[1, T]``).
+        eligible scenario (callers check :attr:`eligible`).
         """
         if self.ineligible_reason is not None:
             raise ModelError(
                 f"scenario not compiled-loop eligible: {self.ineligible_reason}"
             )
-        if not self._offsets_in_domain(offsets):
-            raise ModelError("offsets outside [0, T] for windowed probe")
         resolved = _resolve_policy(policy)
         t0 = _time.perf_counter()
         try:
-            starts, fins, completed, casc, rels = self._schedule_cached(
+            starts, fins, completed, casc, rels, _ = self._schedule_cached(
                 offsets, seed, duration, resolved
             )
-            prov = self._prov_resolver(
+            _, _, prov = self._resolver(
                 offsets, starts, fins, completed, casc, rels
             )
             gid = self.m_gid
@@ -1376,8 +1397,8 @@ class CompiledScenario:
         only the offset vector.  Replaying a candidate through
         ``view.disparity(...)`` / ``view.windowed_maxima(...)`` is
         byte-identical to a fresh :func:`compile_scenario` evaluated at
-        the same offsets — including the per-replication simulator
-        fallback when the offsets leave ``[0, T]`` (see
+        the same offsets — offsets outside ``[0, T]`` included, which
+        replay on the heap-merge stream (see
         :attr:`OffsetView.in_domain`).
 
         ``offsets`` is either a vector in graph-task order or a
@@ -1427,10 +1448,10 @@ class CompiledScenario:
         :class:`StructuralView`.  When ``offsets`` is not given the
         view evaluates at the edited graph's own task offsets.  Views
         whose result the compiled loop cannot replay — duplicate
-        priorities after a priority edit, offsets left outside
-        ``[0, T]`` by a period edit — fall back to the per-replication
-        simulator on the edited system with identical results (see
-        :attr:`OffsetView.reason`).
+        priorities after a priority edit — fall back to the
+        per-replication simulator on the edited system with identical
+        results; offsets left outside ``[0, T]`` by a period edit leave
+        only the delta stream (see :attr:`OffsetView.reason`).
         """
         unknown = sorted(set(changes) - set(_EDIT_KEYS))
         if unknown:
@@ -1634,9 +1655,11 @@ class ScenarioView(Protocol):
     accessors) a :class:`StructuralView`; sweeps program against this
     protocol and never care which.  The contract every implementation
     honors: evaluating a view is byte-identical to a fresh
-    :func:`compile_scenario` of the edited system — including the
-    per-replication :class:`~repro.sim.engine.Simulator` fallback when
-    ``delta_replay`` is ``False`` (``reason`` says why).
+    :func:`compile_scenario` of the edited system, whether or not
+    ``delta_replay`` holds (``reason`` says why not): ineligible
+    scenarios run the per-replication
+    :class:`~repro.sim.engine.Simulator`, out-of-domain offsets the
+    heap-merge release stream.
     """
 
     compiled: "CompiledScenario"
@@ -1678,8 +1701,8 @@ class OffsetView:
     but the offset vector, so constructing one per sweep candidate is
     O(n) while all heavy tables stay shared on the compiled scenario.
     ``in_domain`` reports whether every offset lies in ``[0, T]`` — the
-    delta-replay eligibility rule; out-of-domain views still evaluate
-    correctly through the per-replication simulator fallback.
+    delta-replay eligibility rule; out-of-domain views evaluate on the
+    heap-merge release stream instead.
     """
 
     __slots__ = ("compiled", "offsets", "in_domain")
@@ -1698,7 +1721,7 @@ class OffsetView:
 
     @property
     def reason(self) -> Optional[str]:
-        """Why this view falls back to the simulator, ``None`` on delta."""
+        """Why this view leaves the delta replay, ``None`` on delta."""
         if self.delta_replay:
             return None
         parts = list(self.compiled.ineligible_reasons)

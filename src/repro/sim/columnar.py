@@ -22,7 +22,7 @@ loop per sim), this module processes the batch as struct-of-arrays:
 
 Every step reproduces the scalar reference exactly: the variate
 streams are bit-identical, the advance is a transliteration of
-``CompiledScenario._schedule`` and the derive of ``_prov_resolver``
+``CompiledScenario._schedule`` and the derive of ``_resolver``
 (same FIFO-head / cascade-visibility / LET-publication rules) —
 enforced by the differential suite in ``tests/test_batch_columnar.py``
 against the compiled loop and the general-loop reference simulator.

@@ -7,14 +7,14 @@ re-sorting grids — so its results must be byte-identical to
 * a *fresh* ``compile_scenario`` evaluated at the same offset vector
   (pins that the shared per-horizon stream cache never leaks state
   between candidates), and
-* the plain simulator run on a system with the offsets applied to the
-  graph (an independent reference that shares none of the delta code).
+* the general-loop simulator run on a system with the offsets applied
+  to the graph (an independent reference that shares none of the delta
+  code).
 
 Both identities are exercised on hypothesis-generated systems, under
 both communication semantics, with zero-BCET finish-cascades, and for
-out-of-domain offsets (outside ``[0, T]``), where the view must fall
-back to the per-replication simulator rather than replaying the
-compiled tables.
+out-of-domain offsets (outside ``[0, T]``), where the view leaves the
+presorted delta stream for the heap-merge release stream.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _offset_vectors(system, seed: int, count: int):
 def _simulator_reference(
     system, task, offsets, *, seed, duration, warmup, policy, semantics
 ):
-    """Independent oracle: offsets applied to the graph, plain simulate."""
+    """Independent oracle: offsets applied, the general loop simulates."""
     graph = system.graph.copy()
     for tid, t in enumerate(graph.tasks):
         graph.replace_task(t.with_offset(offsets[tid]))
@@ -67,6 +67,7 @@ def _simulator_reference(
         policy=named_policy(policy),
         observers=[monitor],
         semantics=semantics,
+        loop="general",
     )
     return monitor.disparity(task)
 
@@ -165,7 +166,7 @@ def test_out_of_domain_offsets_fall_back_identically():
         policy="uniform",
         semantics="implicit",
     )
-    # A single out-of-domain coordinate is enough to force the fallback.
+    # A single out-of-domain coordinate is enough to leave the delta path.
     mixed = tuple(
         period + 1 if tid == 0 else 1 for tid, period in enumerate(periods)
     )
@@ -232,3 +233,34 @@ def test_stream_tables_cached_per_horizon():
     # Same candidate again: identical result off the warmed cache.
     assert compiled.with_offsets(first).disparity(1, duration) == a
     assert compiled.with_offsets(second).disparity(1, duration) == b
+
+
+def test_out_of_domain_windowed_maxima_match_the_general_loop():
+    """Windowed maxima replay offsets outside ``[0, T]`` too."""
+    from repro.exact.hyperperiod import _WindowedDisparity
+    from repro.sim.engine import Simulator
+    from repro.sim.exec_time import wcet_policy
+
+    system, sink = _scenario(19, 7)
+    shared = compile_scenario(system, sink)
+    periods = [task.period for task in system.graph.tasks]
+    vector = tuple(period + 1 + tid for tid, period in enumerate(periods))
+    view = shared.with_offsets(vector)
+    assert not view.in_domain
+    window = max(periods)
+    start = max(vector)
+    got = view.windowed_maxima(start + 3 * window, start, window, 3)
+
+    graph = system.graph.copy()
+    for tid, t in enumerate(graph.tasks):
+        graph.replace_task(t.with_offset(vector[tid]))
+    probe = _WindowedDisparity(sink, window, start)
+    Simulator(
+        System(graph=graph, response_times=system.response_times),
+        start + 3 * window,
+        policy=wcet_policy,
+        observers=[probe],
+        loop="general",
+    ).run()
+    assert got == [probe.per_window.get(i, 0) for i in range(3)]
+    assert any(got)

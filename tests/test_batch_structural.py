@@ -9,15 +9,15 @@ rest with its base.  Every view's results must be byte-identical to
 * a *fresh* ``compile_scenario`` of the edited system evaluated at the
   same offsets (pins that selective invalidation never reuses a stale
   table), and
-* the plain simulator run on the edited system (an independent
+* the general-loop simulator run on the edited system (an independent
   reference that shares none of the delta code).
 
 Both identities are exercised on hypothesis-generated systems, under
 both communication semantics, for single, composed and chained edits,
-and for views forced off the delta path (duplicate priorities, offsets
-pushed outside ``[0, T]`` by a period shrink), where the view must
-fall back to the per-replication simulator rather than replaying the
-compiled tables.
+and for views forced off the delta path: duplicate priorities fall
+back to the per-replication simulator, offsets pushed outside
+``[0, T]`` by a period shrink replay on the heap-merge release
+stream.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _edited_system(
 def _simulator_reference(
     system, task, offsets, *, seed, duration, warmup, policy, semantics
 ):
-    """Independent oracle: offsets applied to the graph, plain simulate."""
+    """Independent oracle: offsets applied, the general loop simulates."""
     graph = system.graph.copy()
     for tid, t in enumerate(graph.tasks):
         graph.replace_task(t.with_offset(offsets[tid]))
@@ -87,6 +87,7 @@ def _simulator_reference(
         policy=named_policy(policy),
         observers=[monitor],
         semantics=semantics,
+        loop="general",
     )
     return monitor.disparity(task)
 
@@ -255,7 +256,7 @@ def test_duplicate_priority_falls_back_identically():
 
 
 def test_period_shrink_can_push_offsets_out_of_domain():
-    """Offsets beyond the edited period force the simulator fallback."""
+    """Offsets beyond the edited period leave the delta path only."""
     system, sink = _scenario(23, 7)
     shared = compile_scenario(system, sink)
     compute = [t for t in system.graph.tasks if not t.is_instantaneous]

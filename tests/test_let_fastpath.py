@@ -3,11 +3,12 @@ general loop.
 
 Under LET semantics jobs read at *release* and publish at their
 *deadline* (release + period), so data flow is fully determined by the
-schedule — exactly the structure the two-phase fast path and the
-compiled batch engine exploit.  The general event loop remains the
-untouched semantic reference: every observable of a LET run — job
+schedule — exactly the structure the shared schedule core (which
+``loop="auto"`` and the compiled batch engine run) exploits.  The
+general event loop remains the untouched semantic reference: every
+observable of a LET run — job
 tables, stats counters, channel states, disparity/backward-time/
-data-age metrics — must be identical between ``loop="fast"`` and
+data-age metrics — must be identical between ``loop="auto"`` and
 ``loop="general"``, and ``run_batch(semantics="let")`` must be
 byte-identical to N sequential ``simulate(semantics="let")`` calls
 under the same generator (the ``AnalysisSession.observed_disparity``
@@ -84,10 +85,11 @@ def _run(system, duration, seed, loop, policy=None):
 
 
 def _assert_equivalent(system, duration, seed, policy=None):
-    fast = _run(system, duration, seed, "fast", policy)
+    fast = _run(system, duration, seed, "auto", policy)
     general = _run(system, duration, seed, "general", policy)
     sim_f, res_f, jobs_f, disp_f, back_f, age_f = fast
     sim_g, res_g, jobs_g, disp_g, back_g, age_g = general
+    assert sim_f._resolved_loop == "fast"
 
     # Stats counters.
     assert res_f.stats.jobs_released == res_g.stats.jobs_released
@@ -111,7 +113,7 @@ def _assert_equivalent(system, duration, seed, policy=None):
     for key in age_f.ranges:
         assert age_f.ranges[key] == age_g.ranges[key]
 
-    # Channel states (lazily reconstructed on the fast path).
+    # Channel states (reconstructed from the core's tables).
     for channel in system.graph.channels:
         state_f = sim_f.channel_state(channel.src, channel.dst)
         state_g = sim_g.channel_state(channel.src, channel.dst)
@@ -204,7 +206,7 @@ def test_let_deadline_violation_parity():
         graph=overloaded_graph, response_times=built.response_times
     )
     messages = []
-    for loop in ("fast", "general"):
+    for loop in ("auto", "general"):
         with pytest.raises(ModelError) as err:
             Simulator(
                 overloaded, ms(100), seed=9, semantics="let", loop=loop

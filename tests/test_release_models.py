@@ -8,7 +8,8 @@ Covers the bounded-jitter and sporadic release models end to end:
   rule — a release at exactly ``DropoutWindow.end`` survives in every
   simulation tier, and :class:`StalenessMonitor` ages agree across
   loops at the boundary;
-* the differential identity: fast loop, compiled batch loop and
+* the differential identity: fast loop (the shared schedule core
+  ``loop="auto"`` runs), compiled batch loop and
   columnar C kernel versus the general event loop (the semantic
   reference), under implicit and LET semantics, with zero-BCET
   cascades and fault plans in the mix;
@@ -200,6 +201,11 @@ class TestFaultPlanNormalization:
 # Boundary semantics: a release at exactly ``window.end`` survives
 
 
+def _loop_arg(tier: str) -> str:
+    """The ``loop`` argument that runs ``tier`` ("fast": the shared core)."""
+    return "auto" if tier == "fast" else tier
+
+
 def _fusion_system() -> System:
     graph = CauseEffectGraph()
     graph.add_task(source_task("cam", ms(10), ecu="e", priority=0))
@@ -233,7 +239,7 @@ class TestBoundarySemantics:
             faults=plan,
             policy=wcet_policy,
             observers=[table],
-            loop=loop,
+            loop=_loop_arg(loop),
         ).run()
         releases = {j.release for j in table.by_task("cam")}
         assert ms(200) in releases
@@ -253,7 +259,7 @@ class TestBoundarySemantics:
                 faults=plan,
                 policy=wcet_policy,
                 observers=[monitor],
-                loop=loop,
+                loop=_loop_arg(loop),
             ).run()
             results[loop] = (monitor.disparity("fuse"), res.stats.jobs_dropped)
         assert results["fast"] == results["general"]
@@ -293,7 +299,7 @@ class TestBoundarySemantics:
                     faults=FaultPlan().drop("cam", ms(100), end),
                     policy=wcet_policy,
                     observers=[monitor],
-                    loop=loop,
+                    loop=_loop_arg(loop),
                 ).run()
                 ages[(label, loop)] = monitor.age_for("fuse", "cam")
         assert ages[("at-release", "fast")] == ages[("at-release", "general")]
@@ -341,7 +347,7 @@ def _loop_run(system, duration, seed, loop, *, semantics, faults=None, policy=No
         duration,
         seed=seed,
         observers=[job_table, disparity],
-        loop=loop,
+        loop=_loop_arg(loop),
         semantics=semantics,
         faults=faults,
         **kwargs,

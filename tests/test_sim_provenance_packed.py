@@ -1,9 +1,10 @@
 """Property-based equivalence: packed provenance == dict provenance.
 
-The engine's fast path merges provenance as interned bitmask + stamp
-arrays (:class:`repro.sim.provenance.ProvenancePacker`); these tests
-pin it to the reference dict implementation (:func:`merge_provenance`)
-over randomized inputs, including full simulated DAG runs.
+The shared schedule core's resolver merges provenance as interned
+bitmask + stamp arrays (:class:`repro.sim.provenance.ProvenancePacker`);
+these tests pin it to the reference dict implementation
+(:func:`merge_provenance`) over randomized inputs, including full
+simulated DAG runs against the general loop.
 """
 
 from __future__ import annotations
@@ -75,11 +76,12 @@ def test_source_token_packed(name, timestamp):
     n_tasks=st.integers(min_value=5, max_value=12),
 )
 def test_dag_run_provenance_matches_reference_loop(seed, n_tasks):
-    """Fast-path provenance on a random DAG run == classic-loop dicts.
+    """Core provenance on a random DAG run == general-loop dicts.
 
-    Runs the same scenario through the specialized engine (packed
-    provenance) and the classic inlined loop (dict provenance) and
-    compares every monitored token's provenance mapping.
+    Runs the same scenario through the shared schedule core (packed
+    provenance, ``loop="auto"``) and the general loop (dict
+    provenance) and compares every monitored token's provenance
+    mapping.
     """
     rng = random.Random(seed)
     scenario = generate_random_scenario(n_tasks, rng)
@@ -90,14 +92,16 @@ def test_dag_run_provenance_matches_reference_loop(seed, n_tasks):
     duration = 4 * max(task.period for task in graph.tasks)
 
     tokens = {}
-    for loop in ("fast", "classic"):
+    for loop in ("auto", "general"):
         monitor = DisparityMonitor(track_pairs=True)
-        Simulator(
+        sim = Simulator(
             system, duration, seed=seed, observers=[monitor], loop=loop
-        ).run()
+        )
+        assert sim._resolved_loop == ("fast" if loop == "auto" else loop)
+        sim.run()
         tokens[loop] = (
             monitor.max_disparity,
             monitor.samples,
             monitor.pair_max,
         )
-    assert tokens["fast"] == tokens["classic"]
+    assert tokens["auto"] == tokens["general"]
