@@ -6,8 +6,10 @@ two kinds of assertion:
 
 * **Structural** — properties of the current run alone, machine
   independent: the shared core must beat the general loop (the
-  unoptimized reference) on the same scenario, and the per-chain analysis cost must fall as the chain
-  count grows (prefix sharing + fixed-cost amortization).
+  unoptimized reference) on the same scenario, the per-chain analysis cost must fall as the chain
+  count grows (prefix sharing + fixed-cost amortization), and the
+  all-pairs integer pass must beat the per-pair S-diff loop it
+  replaced, with the same bound.
 * **Regression gate** — the quick benchmark document compared against
   the committed ``BENCH_kernel.json`` via
   :func:`repro.profile.compare_to_baseline`.  Timing on shared CI
@@ -28,6 +30,7 @@ import pytest
 from repro.gen import generate_random_scenario
 from repro.model.system import System
 from repro.profile import (
+    bench_analysis_pairs,
     bench_analysis_scaling,
     bench_sim_kernel,
     compare_to_baseline,
@@ -100,6 +103,21 @@ def test_analysis_per_chain_cost_falls(benchmark):
         )
     assert rows[-1]["chains"] > rows[0]["chains"]
     assert rows[-1]["per_chain_us"] < rows[0]["per_chain_us"]
+
+
+@pytest.mark.benchmark(group="kernel")
+def test_all_pairs_pass_beats_per_pair_loop(benchmark):
+    """Same S-diff bound from the integer pass, in less time."""
+    row = benchmark.pedantic(
+        bench_analysis_pairs, kwargs={"repeats": 1}, rounds=1, iterations=1
+    )
+    print()
+    print(
+        f"{row['pairs']} pairs: per-pair {row['reference_s']*1000:.0f} ms vs "
+        f"pass {row['pass_s']*1000:.0f} ms ({row['speedup']:.2f}x)"
+    )
+    assert row["pairs"] > 1000
+    assert row["pass_s"] < row["reference_s"]
 
 
 @pytest.mark.benchmark(group="kernel")

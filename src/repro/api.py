@@ -113,6 +113,7 @@ class AnalysisSession:
             )
         self._system = system
         self._semantics = semantics
+        self._bounds_strategy = bounds_strategy
         self._regime = regime_of(system)
         self._cache = BackwardBoundsTable(system, strategy=bounds_strategy)
         self._chains: Dict[str, Tuple[Chain, ...]] = {}
@@ -278,9 +279,16 @@ class AnalysisSession:
 
         Buffer capacities do not change scheduling, so the response-time
         table carries over; backward bounds do change (Lemma 6), so the
-        new session starts a fresh bounds cache.
+        new session starts a fresh bounds cache.  The bounds strategy,
+        the semantics and the compiled-cache bound carry over too: the
+        buffered sibling of a LET session is a LET session.
         """
-        return AnalysisSession(self._system.with_buffer_plan(plan))
+        return AnalysisSession(
+            self._system.with_buffer_plan(plan),
+            bounds_strategy=self._bounds_strategy,
+            semantics=self._semantics,
+            compiled_cache_size=self._compiled_cache_size,
+        )
 
     # ------------------------------------------------------------------
     # simulation

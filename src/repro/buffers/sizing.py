@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Optional, Tuple
 
-from repro.chains.backward import BackwardBoundsCache
+from repro.chains.backward import BackwardBoundsCache, BackwardBoundsTable
 from repro.core.pairwise import (
     PairwiseResult,
     disparity_bound_forkjoin,
@@ -253,18 +253,17 @@ def design_buffers_greedy(
 
     if max_iterations < 1:
         raise ModelError(f"max_iterations must be >= 1, got {max_iterations}")
-    current = system
     plan: Dict[Tuple[str, str], int] = {}
-    bound_before = worst_case_disparity(system, task, method=method).bound
-    best = bound_before
+    # Each system is analyzed once, over its own bounds table: the
+    # accepted candidate's result (and table) is the next round's.
+    result = worst_case_disparity(system, task, method=method)
+    bound_before = best = result.bound
 
     for _iteration in range(max_iterations):
-        cache = BackwardBoundsCache(current)
-        result = worst_case_disparity(current, task, method=method, cache=cache)
         if result.worst_pair is None:
             break
         design = design_buffer_pair(
-            result.worst_pair.lam, result.worst_pair.nu, cache
+            result.worst_pair.lam, result.worst_pair.nu, result.cache
         )
         if design.channel is None:
             break
@@ -272,13 +271,12 @@ def design_buffers_greedy(
         existing = plan.get(design.channel, 1)
         candidate_plan = dict(plan)
         candidate_plan[design.channel] = existing + design.capacity - 1
-        candidate = system.with_buffer_plan(candidate_plan)
-        candidate_bound = worst_case_disparity(
-            candidate, task, method=method
-        ).bound
-        if candidate_bound >= best:
+        candidate = worst_case_disparity(
+            system.with_buffer_plan(candidate_plan), task, method=method
+        )
+        if candidate.bound >= best:
             break
-        plan, current, best = candidate_plan, candidate, candidate_bound
+        plan, best, result = candidate_plan, candidate.bound, candidate
     observed_before = observed_after = None
     if observed_sims > 0:
         observed_before, observed_after = _observed_pair(
@@ -320,7 +318,7 @@ def design_buffers_multi(
     """
     from repro.core.disparity import disparity_bound
 
-    cache = BackwardBoundsCache(system)
+    cache = BackwardBoundsTable(system)
     chains = enumerate_source_chains(system.graph, task)
     bound_before = disparity_bound(system, task, method=method, cache=cache)
     if len(chains) < 2:

@@ -42,9 +42,9 @@ metrics use a warm-up horizon accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.analysis_regime import regime_of
+from repro.analysis_regime import max_release_gap, regime_of
 from repro.model.chain import Chain
 from repro.model.system import System
 from repro.model.task import ModelError
@@ -192,13 +192,45 @@ class BackwardBoundsCache:
     def register(self, chains: Iterable[Chain]) -> None:
         """Pre-compute the bounds of ``chains`` (and their prefixes).
 
-        A no-op beyond warming the memo: callers that are about to
-        evaluate an all-pairs loop (``worst_case_disparity``) register
-        the enumerated chains up front so the loop itself only performs
-        dictionary hits.
+        A no-op beyond warming the memo.
         """
         for chain in chains:
             self.bounds(chain)
+
+    def profile(self, chain: Chain):
+        """Per-chain state that :meth:`spans` reads.
+
+        Here the task tuple itself: every span is a memoized
+        :meth:`bounds` lookup of the sub-chain.
+        """
+        return chain.tasks
+
+    def spans(
+        self, profile, cuts: Sequence[int]
+    ) -> Tuple[List[Time], List[Time]]:
+        """``W`` and ``B`` of consecutive sub-chains of one chain.
+
+        Span ``k`` runs from position ``cuts[k]`` to ``cuts[k + 1]``
+        (both inclusive) of the chain whose :meth:`profile` is given;
+        ``cuts`` ascends and only its first two entries may be equal (a
+        single-task span).  The all-pairs disparity pass asks this once
+        per chain and pair, for the fork-join sub-chains ``alpha_j`` /
+        ``beta_j`` between consecutive joints.
+        """
+        tasks = profile
+        memo = self._cache
+        ws: List[Time] = []
+        bs: List[Time] = []
+        start = cuts[0]
+        for stop in cuts[1:]:
+            key = tasks[start : stop + 1]
+            found = memo.get(key)
+            if found is None:
+                found = self.bounds(Chain(key))
+            ws.append(found.wcbt)
+            bs.append(found.bcbt)
+            start = stop
+        return ws, bs
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -229,58 +261,91 @@ class BackwardBoundsTable(BackwardBoundsCache):
         B(pi)        = SB(pi) - R(pi.tail)          (len > 1)
 
     with ``W = B = 0`` for single-task chains, matching
-    :func:`wcbt_upper` / :func:`bcbt_lower` bit for bit.
+    :func:`wcbt_upper` / :func:`bcbt_lower` bit for bit.  The same
+    sums make any sub-chain ``i..j`` of a profiled chain an ``O(1)``
+    prefix difference (:meth:`spans`):
 
-    A non-default ``strategy`` (e.g. LET retargeting) bypasses the DP
-    and behaves exactly like the base cache — the recurrence above is
-    only known to be sound for the paper's additive bounds.
+        W(pi[i..j]) = PW[j] - PW[i]
+        B(pi[i..j]) = PB[j] - PB[i] + B(pi^i) - R(pi^j)
+
+    where ``PW``/``PB`` accumulate the edge terms from the chain head.
+
+    The LET bounds (:func:`repro.let.backward_bounds_let`) are sums of
+    per-edge terms too — ``gap`` or ``T + gap`` for ``W``, ``0`` or
+    ``T`` for ``B``, plus the capacity shift, with no head or tail term
+    — so that strategy runs the same DP on LET edge weights.  Any other
+    ``strategy`` bypasses the DP and behaves exactly like the base
+    cache: the recurrence is only known to be sound for these additive
+    bounds.
     """
 
     def __init__(self, system: System, strategy=None) -> None:
+        from repro.let.analysis import backward_bounds_let
+
         super().__init__(system, strategy=strategy)
-        self._shared_dp = strategy is None
-        # Classified once; checked lazily in bounds() so a session over
-        # a non-periodic system can still simulate — only the first
-        # analytical query raises.
+        if strategy is None:
+            self._dp = "implicit"
+        elif strategy is backward_bounds_let:
+            self._dp = "let"
+        else:
+            self._dp = None
+        # Classified once.  Only the implicit bounds need periodic
+        # releases (the LET ones survive jitter and sporadic gaps), and
+        # a non-periodic system is refused per query, not here, so a
+        # session over it can still simulate.
         self._regime = regime_of(system)
+        self._gated = self._dp == "implicit" and not self._regime.analytical
         # tasks-tuple -> (W accumulator, sum-of-B accumulator), both
         # including every capacity shift along the prefix.
         self._prefix: Dict[Tuple[str, ...], Tuple[Time, Time]] = {}
         self._edge_weight: Dict[Tuple[str, str], Tuple[Time, Time]] = {}
         self._task_b: Dict[str, Time] = {}
         self._task_r: Dict[str, Time] = {}
+        self._profiles: Dict[Tuple[str, ...], Tuple[List[Time], ...]] = {}
 
     def _edge(self, producer: str, consumer: str) -> Tuple[Time, Time]:
-        """Interned ``(theta + shift, B(consumer) + shift)`` of one hop."""
+        """Interned ``(W term + shift, B term + shift)`` of one hop."""
         key = (producer, consumer)
         found = self._edge_weight.get(key)
         if found is None:
             system = self._system
             channel = system.graph.channel(producer, consumer)
             shift = (channel.capacity - 1) * system.T(producer)
-            theta = hop_budget(system, producer, consumer)
-            found = (theta + shift, self._b(consumer) + shift)
+            if self._dp == "let":
+                gap = max_release_gap(system.graph.task(producer))
+                if system.is_source(producer):
+                    w_term, b_term = gap, 0
+                else:
+                    period = system.T(producer)
+                    w_term, b_term = period + gap, period
+            else:
+                w_term = hop_budget(system, producer, consumer)
+                b_term = self._b(consumer)
+            found = (w_term + shift, b_term + shift)
             self._edge_weight[key] = found
         return found
 
     def _b(self, name: str) -> Time:
+        """Head term of ``B``: the task's BCET (0 under LET)."""
         found = self._task_b.get(name)
         if found is None:
-            found = self._task_b[name] = self._system.B(name)
+            found = 0 if self._dp == "let" else self._system.B(name)
+            self._task_b[name] = found
         return found
 
     def _r(self, name: str) -> Time:
+        """Tail term of ``B``: the task's WCRT (0 under LET)."""
         found = self._task_r.get(name)
         if found is None:
-            found = self._task_r[name] = self._system.R(name)
+            found = 0 if self._dp == "let" else self._system.R(name)
+            self._task_r[name] = found
         return found
 
     def _accumulators(self, tasks: Tuple[str, ...]) -> Tuple[Time, Time]:
         """``(W, sum B)`` of the prefix ``tasks``, extending the trie.
 
         Walks back to the longest already-known prefix and extends it
-        one edge at a time, memoizing every intermediate prefix (they
-        are the alphas/betas of upcoming decompositions).
+        one edge at a time, memoizing every intermediate prefix.
         """
         prefix = self._prefix
         found = prefix.get(tasks)
@@ -304,13 +369,19 @@ class BackwardBoundsTable(BackwardBoundsCache):
             prefix[tasks[: index + 1]] = (w_acc, sb_acc)
         return (w_acc, sb_acc)
 
+    def _lookup_failed(self, chain: Chain, exc: KeyError) -> ModelError:
+        """The diagnostic of an unknown edge or task in ``chain``."""
+        chain.validate(self._system.graph)
+        return ModelError(f"backward bounds lookup failed for {chain}: {exc}")
+
     def bounds(self, chain: Chain) -> BackwardBounds:
         """Bounds of ``chain`` via the prefix DP (memoized)."""
-        if not self._shared_dp:
+        if self._dp is None:
             return super().bounds(chain)
-        # The DP inlines Lemmas 4/5 without calling wcbt_upper /
-        # bcbt_lower, so it must repeat their periodic-release gate.
-        self._regime.require_analytical("backward bounds (Lemmas 4-5)")
+        if self._gated:
+            # The DP inlines Lemmas 4/5 without calling wcbt_upper /
+            # bcbt_lower, so it must repeat their periodic-release gate.
+            self._regime.require_analytical("backward bounds (Lemmas 4-5)")
         key = chain.tasks
         found = self._cache.get(key)
         if found is None:
@@ -320,14 +391,55 @@ class BackwardBoundsTable(BackwardBoundsCache):
                 try:
                     w_acc, sb_acc = self._accumulators(key)
                 except KeyError as exc:
-                    # Unknown edge or task: surface the same diagnostic
-                    # the per-chain path produces.
-                    chain.validate(self._system.graph)
-                    raise ModelError(
-                        f"backward bounds lookup failed for {chain}: {exc}"
-                    ) from exc
+                    raise self._lookup_failed(chain, exc) from exc
                 found = BackwardBounds(
                     chain=chain, wcbt=w_acc, bcbt=sb_acc - self._r(key[-1])
                 )
             self._cache[key] = found
         return found
+
+    def profile(self, chain: Chain):
+        """``(PW, head, tail)`` prefix arrays of ``chain`` (memoized).
+
+        ``W(i..j) = PW[j] - PW[i]`` and ``B(i..j) = tail[j] + head[i]``
+        for ``j > i``, with ``head[i] = B(pi^i) - PB[i]`` and
+        ``tail[j] = PB[j] - R(pi^j)`` folding the per-task terms in.
+        """
+        if self._dp is None:
+            return super().profile(chain)
+        if self._gated:
+            self._regime.require_analytical("backward bounds (Lemmas 4-5)")
+        tasks = chain.tasks
+        found = self._profiles.get(tasks)
+        if found is None:
+            pw = [0]
+            head = [self._b(tasks[0])]
+            tail = [-self._r(tasks[0])]
+            w_acc = b_acc = 0
+            try:
+                for index in range(1, len(tasks)):
+                    name = tasks[index]
+                    w_edge, b_edge = self._edge(tasks[index - 1], name)
+                    w_acc += w_edge
+                    b_acc += b_edge
+                    pw.append(w_acc)
+                    head.append(self._b(name) - b_acc)
+                    tail.append(b_acc - self._r(name))
+            except KeyError as exc:
+                raise self._lookup_failed(chain, exc) from exc
+            found = self._profiles[tasks] = (pw, head, tail)
+        return found
+
+    def spans(
+        self, profile, cuts: Sequence[int]
+    ) -> Tuple[List[Time], List[Time]]:
+        """Prefix differences over ``profile`` (see the base method)."""
+        if self._dp is None:
+            return super().spans(profile, cuts)
+        pw, head, tail = profile
+        pairs = list(zip(cuts, cuts[1:]))
+        ws = [pw[stop] - pw[start] for start, stop in pairs]
+        bs = [tail[stop] + head[start] for start, stop in pairs]
+        if cuts[0] == cuts[1]:
+            bs[0] = 0  # a single-task span: W = B = 0
+        return ws, bs

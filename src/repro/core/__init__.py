@@ -7,6 +7,7 @@ from repro.core.disparity import (
     check_disparity_requirement,
     disparity_bound,
     normalize_method,
+    pair_bounds,
     worst_case_disparity,
 )
 from repro.core.pairwise import (
@@ -28,6 +29,7 @@ __all__ = [
     "all_sink_disparities",
     "check_disparity_requirement",
     "disparity_bound",
+    "pair_bounds",
     "worst_case_disparity",
     "OffsetInterval",
     "PairwiseResult",

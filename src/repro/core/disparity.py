@@ -21,9 +21,10 @@ distinct chains in ``P`` of the pairwise bound (Theorem 1 or 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations, islice
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chains.backward import BackwardBoundsCache, BackwardBoundsTable
 from repro.core.pairwise import (
@@ -76,19 +77,36 @@ def normalize_method(method: Method) -> Method:
 
 @dataclass(frozen=True)
 class TaskDisparityResult:
-    """Worst-case disparity bound of one task, with per-pair evidence."""
+    """Worst-case disparity bound of one task, with per-pair evidence.
+
+    ``worst_pair`` is the evidence of the pair attaining ``bound`` (the
+    first one in ``combinations(chains, 2)`` order).  ``pair_results``
+    holds the evidence of every pair in that order; it is built on
+    first access, by the per-pair theorem functions over the same
+    bounds cache, since the bound itself comes from one integer pass
+    (:func:`pair_bounds`) that builds no per-pair objects.
+    """
 
     task: str
     method: Method
     bound: Time
     chains: Tuple[Chain, ...]
-    pair_results: Tuple[PairwiseResult, ...]
     worst_pair: Optional[PairwiseResult]
+    cache: BackwardBoundsCache = field(repr=False, compare=False)
+    truncate_suffix: bool
+
+    @cached_property
+    def pair_results(self) -> Tuple[PairwiseResult, ...]:
+        """Per-pair evidence in ``combinations(chains, 2)`` order."""
+        return tuple(
+            _pair_bound(lam, nu, self.cache, self.method, self.truncate_suffix)
+            for lam, nu in combinations(self.chains, 2)
+        )
 
     @property
     def n_pairs(self) -> int:
         """Number of chain pairs the maximum ranged over."""
-        return len(self.pair_results)
+        return len(self.chains) * (len(self.chains) - 1) // 2
 
 
 def _pair_bound(
@@ -109,6 +127,144 @@ def _pair_bound(
         )
         return forkjoin if forkjoin.bound <= independent.bound else independent
     raise ModelError(f"unknown disparity method {method!r}; use one of {_VALID_METHODS}")
+
+
+def pair_bounds(
+    chains: Sequence[Chain],
+    cache: BackwardBoundsCache,
+    method: Method,
+    truncate_suffix: bool = True,
+) -> List[Time]:
+    """The bound of every chain pair, in ``combinations(chains, 2)`` order.
+
+    Equal, pair for pair, to ``_pair_bound(...).bound`` (Theorem 1,
+    Theorem 2 or their minimum), computed in one pass over plain ints:
+    each chain is profiled once (:meth:`BackwardBoundsCache.profile`),
+    and each pair then truncates its shared suffix by index, finds its
+    joints through a name -> position map (sources excluded), asks the
+    cache for the ``W``/``B`` of its fork-join sub-chains
+    (:meth:`BackwardBoundsCache.spans`, a prefix difference on a
+    :class:`BackwardBoundsTable`) and runs the ``[x_j, y_j]`` recursion
+    and the shifted operator inline.  A pair the integer pass cannot
+    take as-is — tails that differ, no joint at the tail, joints in
+    different orders, ``B > W`` or an empty offset interval — is handed
+    to the per-pair functions, which raise the same diagnostic they
+    always did.
+    """
+    method = normalize_method(method)
+    want_fj = method != "independent"
+    want_ind = method != "forkjoin"
+    system = cache.system
+    sources = set(system.graph.sources())
+    period = {name: system.T(name) for chain in chains for name in chain.tasks}
+    tasks = [chain.tasks for chain in chains]
+    positions = [{name: k for k, name in enumerate(t)} for t in tasks]
+    profiles = [cache.profile(chain) for chain in chains]
+    whole = [
+        cache.spans(profile, (0, len(t) - 1)) if want_ind else None
+        for profile, t in zip(profiles, tasks)
+    ]
+    bounds: List[Time] = []
+    for a, ta in enumerate(tasks):
+        for b in range(a + 1, len(tasks)):
+            tb = tasks[b]
+            fj = ind = None
+            if ta[-1] == tb[-1]:
+                shared_head = ta[0] == tb[0]
+                if want_ind:
+                    (w_a,), (b_a,) = whole[a]
+                    (w_b,), (b_b,) = whole[b]
+                    if b_a <= w_a and b_b <= w_b:
+                        ind = max(abs(w_a - b_b), abs(w_b - b_a))
+                        if shared_head:
+                            ind = ind // period[ta[0]] * period[ta[0]]
+                if want_fj:
+                    end_a = len(ta) - 1
+                    end_b = len(tb) - 1
+                    if truncate_suffix:
+                        while end_a and end_b and ta[end_a - 1] == tb[end_b - 1]:
+                            end_a -= 1
+                            end_b -= 1
+                    if truncate_suffix and end_a == 0 and end_b == 0:
+                        fj = 0  # identical chains: a single source job
+                    else:
+                        fj = _forkjoin_ints(
+                            ta, end_a, profiles[a], positions[b], end_b,
+                            profiles[b], shared_head, cache, sources, period,
+                        )
+            if (want_fj and fj is None) or (want_ind and ind is None):
+                # Not an integer-pass pair: the per-pair functions
+                # decide (and raise their usual diagnostic).
+                bounds.append(
+                    _pair_bound(chains[a], chains[b], cache, method, truncate_suffix).bound
+                )
+            elif ind is None or (fj is not None and fj <= ind):
+                bounds.append(fj)
+            else:
+                bounds.append(ind)
+    return bounds
+
+
+def _forkjoin_ints(
+    ta: Tuple[str, ...],
+    end_a: int,
+    profile_a,
+    pos_b: Dict[str, int],
+    end_b: int,
+    profile_b,
+    shared_head: bool,
+    cache: BackwardBoundsCache,
+    sources,
+    period: Dict[str, Time],
+) -> Optional[Time]:
+    """Theorem 2 of one pair over ``ta[:end_a+1]`` / ``tb[:end_b+1]``.
+
+    ``None`` when the pair needs the per-pair function (see
+    :func:`pair_bounds`).
+    """
+    cuts_a = [0]
+    cuts_b = [0]
+    joint_periods = []
+    last = -1
+    for i in range(end_a + 1):
+        name = ta[i]
+        j = pos_b.get(name)
+        if j is None or j > end_b or name in sources:
+            continue
+        if j <= last:
+            return None  # common tasks in different orders
+        last = j
+        cuts_a.append(i)
+        cuts_b.append(j)
+        joint_periods.append(period[name])
+    if last != end_b or cuts_a[-1] != end_a:
+        return None  # the tail is not a (non-source) joint
+    ws_a, bs_a = cache.spans(profile_a, cuts_a)
+    ws_b, bs_b = cache.spans(profile_b, cuts_b)
+    x = y = 0
+    t_next = joint_periods[-1]
+    for k in range(len(joint_periods) - 1, 0, -1):
+        wa = ws_a[k]
+        ba = bs_a[k]
+        wb = ws_b[k]
+        bb = bs_b[k]
+        t_here = joint_periods[k - 1]
+        x = -((wb - ba - x * t_next) // t_here)  # ceil((ba - wb + x T) / T')
+        y = (wa - bb + y * t_next) // t_here
+        if x > y or ba > wa or bb > wb:
+            return None
+        t_next = t_here
+    wa = ws_a[0]
+    ba = bs_a[0]
+    wb = ws_b[0]
+    bb = bs_b[0]
+    if ba > wa or bb > wb:
+        return None
+    operator = max(abs(wb - ba - x * t_next), abs(bb - wa - y * t_next))
+    if shared_head:
+        source_period = period[ta[0]]
+        return operator // source_period * source_period
+    return operator
 
 
 def worst_case_disparity(
@@ -140,6 +296,11 @@ def worst_case_disparity(
             :class:`repro.api.AnalysisSession` passes its memoized
             enumeration; when ``None`` they are enumerated here).
 
+    The pair bounds come from :func:`pair_bounds`; only the winning
+    pair (the first with the largest bound) is rebuilt as a
+    :class:`PairwiseResult` by the per-pair theorem functions, and
+    ``pair_results`` is built on first access.
+
     Periodic releases only: Theorems 1-3 use the fact that release
     differences are exact multiples of the task periods (the
     ``floor_to_period`` rounding and the Theorem 2 offset recursion).
@@ -154,28 +315,26 @@ def worst_case_disparity(
     )
     method = normalize_method(method)
     if cache is None:
-        # Standalone call: hoist everything shareable out of the
-        # all-pairs loop — one DAG-shared bounds table instead of a
-        # per-chain cache, warmed for every enumerated chain up front
-        # so the pair loop below performs dictionary hits only.
+        # Standalone call: one DAG-shared bounds table instead of a
+        # per-chain cache.
         cache = BackwardBoundsTable(system)
     if chains is None:
         chains = enumerate_source_chains(system.graph, task)
-    cache.register(chains)
-    pair_results: List[PairwiseResult] = []
+    bounds = pair_bounds(chains, cache, method, truncate_suffix)
     worst: Optional[PairwiseResult] = None
-    for lam, nu in combinations(chains, 2):
-        result = _pair_bound(lam, nu, cache, method, truncate_suffix)
-        pair_results.append(result)
-        if worst is None or result.bound > worst.bound:
-            worst = result
+    if bounds:
+        # max() keeps the first maximal pair, as the strict ">" did.
+        index = max(range(len(bounds)), key=bounds.__getitem__)
+        lam, nu = next(islice(combinations(chains, 2), index, None))
+        worst = _pair_bound(lam, nu, cache, method, truncate_suffix)
     return TaskDisparityResult(
         task=task,
         method=method,
         bound=worst.bound if worst is not None else 0,
         chains=chains,
-        pair_results=tuple(pair_results),
         worst_pair=worst,
+        cache=cache,
+        truncate_suffix=truncate_suffix,
     )
 
 

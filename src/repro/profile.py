@@ -52,6 +52,11 @@ optimization work:
   doubles per rung; the DAG-shared prefix DP
   (:class:`repro.chains.backward.BackwardBoundsTable`) makes that cost
   *fall* as chains multiply, which the benchmark asserts.
+* :func:`bench_analysis_pairs` measures the all-pairs S-diff of one
+  WATERS DAG twice: the per-pair reference loop
+  (:func:`~repro.core.pairwise.disparity_bound_forkjoin` over every
+  chain pair) and :func:`~repro.core.disparity.worst_case_disparity`'s
+  integer pass, bounds asserted equal; its ratio gates the pass.
 * :func:`run_benchmarks` bundles the sections into the JSON document committed
   as ``BENCH_kernel.json``; :func:`compare_to_baseline` implements the
   CI regression gate against that file (throughput and ratio metrics
@@ -1214,6 +1219,69 @@ def bench_analysis_scaling(
     return rows
 
 
+def bench_analysis_pairs(*, repeats: int = 3) -> Dict[str, Any]:
+    """All-pairs S-diff of one WATERS DAG: per-pair loop vs integer pass.
+
+    The reference arm is the loop :func:`worst_case_disparity` ran
+    before the integer pass: a fresh :class:`BackwardBoundsTable` and
+    :func:`disparity_bound_forkjoin` on every pair of source chains,
+    keeping the maximum.  The other arm is :func:`worst_case_disparity`
+    itself, on a fresh table too.  Both bounds are asserted equal;
+    ``speedup`` is the ratio of the min-of-``repeats`` wall times.  The
+    DAG (seed 8, 40 tasks, ``max_paths=128`` as in perfbench's
+    ``bounds-xl``) has 96 chains into its sink, 4,560 pairs.
+    """
+    from itertools import combinations
+
+    from repro.chains.backward import BackwardBoundsTable
+    from repro.core.disparity import worst_case_disparity
+    from repro.core.pairwise import disparity_bound_forkjoin
+    from repro.gen.scenario import ScenarioConfig, generate_random_scenario
+    from repro.model.chain import enumerate_source_chains
+
+    n_tasks = 40
+    scenario = generate_random_scenario(
+        n_tasks, random.Random(8), ScenarioConfig(max_paths=128)
+    )
+    system, sink = scenario.system, scenario.sink
+    chains = enumerate_source_chains(system.graph, sink)
+
+    def per_pair() -> int:
+        table = BackwardBoundsTable(system)
+        return max(
+            (
+                disparity_bound_forkjoin(lam, nu, table).bound
+                for lam, nu in combinations(chains, 2)
+            ),
+            default=0,
+        )
+
+    def integer_pass() -> int:
+        return worst_case_disparity(system, sink, method="forkjoin").bound
+
+    walls = {}
+    bounds = {}
+    for label, arm in (("reference", per_pair), ("pass", integer_pass)):
+        for _ in range(repeats):
+            start = time.perf_counter()
+            bounds[label] = arm()
+            elapsed = time.perf_counter() - start
+            walls[label] = min(walls.get(label, elapsed), elapsed)
+    if bounds["reference"] != bounds["pass"]:
+        raise AssertionError(
+            f"all-pairs bound {bounds['pass']} differs from the per-pair "
+            f"loop's {bounds['reference']}"
+        )
+    return {
+        "n_tasks": n_tasks,
+        "chains": len(chains),
+        "pairs": len(chains) * (len(chains) - 1) // 2,
+        "reference_s": round(walls["reference"], 4),
+        "pass_s": round(walls["pass"], 4),
+        "speedup": round(walls["reference"] / walls["pass"], 2),
+    }
+
+
 # ----------------------------------------------------------------------
 # the committed benchmark document
 # ----------------------------------------------------------------------
@@ -1298,9 +1366,12 @@ def run_benchmarks(
         )
     if "analysis" in kernels:
         document["analysis"] = (
-            bench_analysis_scaling(levels=4, widths=(1, 2, 4))
+            {
+                "ladder": bench_analysis_scaling(levels=4, widths=(1, 2, 4)),
+                **bench_analysis_pairs(repeats=2),
+            }
             if quick
-            else bench_analysis_scaling()
+            else {"ladder": bench_analysis_scaling(), **bench_analysis_pairs()}
         )
     return document
 
@@ -1395,13 +1466,33 @@ def format_benchmarks(results: Dict[str, Any]) -> str:
             f"{cluster['scenarios_per_s']:,.1f} scens/s, "
             f"{cluster['shards']} shards on {cluster['workers']} workers)"
         )
-    for row in results.get("analysis", ()):
+    analysis = results.get("analysis")
+    for row in _ladder_rows(analysis):
         lines.append(
             f"analysis     {row['chains']:>9} chains in {row['wall_s']:.3f}s"
             f"  -> {row['per_chain_us']:.1f} us/chain"
             f"  ({row['levels']} levels x width {row['width']})"
         )
+    if isinstance(analysis, dict):
+        lines.append(
+            f"all pairs    {analysis['pairs']:>9} pairs"
+            f"  {analysis['reference_s']:.3f}s per-pair loop ->"
+            f" {analysis['pass_s']:.3f}s integer pass"
+            f"  ({analysis['speedup']:.2f}x, {analysis['chains']} chains, "
+            f"{analysis['n_tasks']} tasks)"
+        )
     return "\n".join(lines)
+
+
+def _ladder_rows(analysis) -> List[Dict[str, Any]]:
+    """The ladder rows of an ``analysis`` section.
+
+    Documents filed before the all-pairs arm hold the bare row list; a
+    ``quick_baseline`` entry may hold the all-pairs arm alone.
+    """
+    if analysis is None:
+        return []
+    return analysis.get("ladder", []) if isinstance(analysis, dict) else analysis
 
 
 #: Sections whose ``speedup`` ratio must not drop, with their message label.
@@ -1412,6 +1503,7 @@ _SPEEDUP_SECTIONS = (
     ("fault", "faulted batch speedup"),
     ("delta", "delta-replay speedup"),
     ("structural", "structural-view speedup"),
+    ("analysis", "all-pairs S-diff speedup"),
 )
 
 
@@ -1452,8 +1544,8 @@ def compare_to_baseline(
     for section, label in _SPEEDUP_SECTIONS:
         cur_section = current.get(section)
         base_section = baseline.get(section)
-        if cur_section is None or base_section is None:
-            continue
+        if not isinstance(cur_section, dict) or not isinstance(base_section, dict):
+            continue  # absent, or an analysis section without its ratio
         cur_speedup = cur_section["speedup"]
         base_speedup = base_section["speedup"]
         if cur_speedup < base_speedup * (1.0 - tolerance):
@@ -1503,9 +1595,9 @@ def compare_to_baseline(
             )
     base_by_shape = {
         (row["levels"], row["width"]): row
-        for row in baseline.get("analysis", ())
+        for row in _ladder_rows(baseline.get("analysis"))
     }
-    for row in current.get("analysis", ()):
+    for row in _ladder_rows(current.get("analysis")):
         base_row = base_by_shape.get((row["levels"], row["width"]))
         if base_row is None:
             continue

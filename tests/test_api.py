@@ -138,6 +138,30 @@ class TestSimulation:
         buffered = session.with_buffer_plan(design.plan)
         assert buffered.response_times() is session.response_times()
 
+    def test_buffered_sibling_of_let_session_stays_let(self, scenario):
+        from repro.let import backward_bounds_let
+
+        let_session = AnalysisSession(
+            scenario.system,
+            bounds_strategy=backward_bounds_let,
+            semantics="let",
+            compiled_cache_size=3,
+        )
+        chain = let_session.chains(scenario.sink)[0]
+        plan = {(chain[0], chain[1]): 3}
+        buffered = let_session.with_buffer_plan(plan)
+        assert buffered.semantics == "let"
+        assert buffered.compiled_cache_stats()["maxsize"] == 3
+        for sibling_chain in buffered.chains(scenario.sink):
+            assert buffered.backward(sibling_chain) == backward_bounds_let(
+                sibling_chain, buffered.system
+            )
+        # The head FIFO shifts the LET bounds of the chain by 2 periods.
+        shift = 2 * scenario.system.T(chain[0])
+        assert buffered.backward(chain).wcbt == (
+            let_session.backward(chain).wcbt + shift
+        )
+
 
 class TestObservedStats:
     def test_exact_fields_match_observed_batch(self, session, scenario):

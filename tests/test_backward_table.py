@@ -87,3 +87,85 @@ def test_table_register_warms_every_prefix():
     chains = enumerate_source_chains(system.graph, sink)
     table.register(chains)
     assert len(table) >= len(chains)
+
+
+class TestRegimeCheckedOnce:
+    """The table classifies the release regime once, at construction."""
+
+    def test_periodic_lookups_skip_the_check(self, monkeypatch):
+        from repro.analysis_regime import AnalysisRegime
+
+        rng = random.Random(3)
+        scenario = generate_random_scenario(10, rng)
+        system, sink = scenario.system, scenario.sink
+        table = BackwardBoundsTable(system)
+        calls = []
+        original = AnalysisRegime.require_analytical
+
+        def counted(regime, analysis):
+            calls.append(analysis)
+            return original(regime, analysis)
+
+        monkeypatch.setattr(AnalysisRegime, "require_analytical", counted)
+        chains = enumerate_source_chains(system.graph, sink)
+        for _ in range(3):
+            for chain in chains:
+                table.bounds(chain)
+                table.profile(chain)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["jitter", "sporadic"])
+    def test_nonperiodic_refused_on_every_query(self, kind):
+        from repro.analysis_regime import RegimeError
+        from repro.api import AnalysisSession
+        from repro.units import ms
+
+        system = _nonperiodic_fusion(kind)
+        table = BackwardBoundsTable(system)
+        chain = Chain(("cam", "fuse"))
+        for _ in range(3):  # first and repeated queries
+            with pytest.raises(RegimeError):
+                table.bounds(chain)
+            with pytest.raises(RegimeError):
+                table.profile(chain)
+        session = AnalysisSession(system)
+        for _ in range(2):
+            with pytest.raises(RegimeError):
+                session.backward(chain)
+        assert session.observed_disparity(
+            "fuse", sims=2, duration=ms(300), seed=4
+        ) >= 0
+
+    @pytest.mark.parametrize("kind", ["jitter", "sporadic"])
+    def test_let_table_matches_let_bounds_off_the_periodic_regime(self, kind):
+        from repro.let import backward_bounds_let
+
+        system = _nonperiodic_fusion(kind).with_buffer_plan({("cam", "fuse"): 3})
+        table = BackwardBoundsTable(system, strategy=backward_bounds_let)
+        for tasks in (("cam", "fuse"), ("lidar", "fuse"), ("cam",)):
+            chain = Chain(tasks)
+            assert table.bounds(chain) == backward_bounds_let(chain, system)
+
+
+def _nonperiodic_fusion(kind: str):
+    """``cam -> fuse <- lidar`` with one jittered or sporadic source."""
+    from repro.model.graph import CauseEffectGraph
+    from repro.model.system import System
+    from repro.model.task import ReleaseModel, Task, source_task
+    from repro.units import ms
+
+    if kind == "jitter":
+        cam = source_task("cam", ms(10), ecu="e", priority=0).with_release_model(
+            ReleaseModel.jittered(ms(2))
+        )
+    else:
+        cam = source_task("cam", ms(10), ecu="e", priority=0).with_release_model(
+            ReleaseModel.sporadic(ms(8), ms(15))
+        )
+    graph = CauseEffectGraph()
+    graph.add_task(cam)
+    graph.add_task(source_task("lidar", ms(30), ecu="e", priority=1))
+    graph.add_task(Task("fuse", ms(30), ms(2), ms(1), ecu="e", priority=2))
+    graph.add_channel("cam", "fuse")
+    graph.add_channel("lidar", "fuse")
+    return System.build(graph)

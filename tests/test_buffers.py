@@ -174,6 +174,59 @@ class TestGreedyDesign:
             design_buffers_greedy(merged_system, "sink", max_iterations=0)
 
 
+#: Plans and bounds (ns) of both heuristics on seeded WATERS scenarios,
+#: pinned when they were computed over per-chain caches and one
+#: analysis per candidate, before they moved to the shared bounds
+#: table: ``seed -> (greedy plan, greedy bound after, multi plan,
+#: multi bound after, bound before)``.
+PINNED_DESIGNS = {
+    0: (
+        {("s1", "fuse"): 221},
+        481678347,
+        {("s0", "s0p0"): 5, ("s1", "fuse"): 121},
+        401678347,
+        481695939,
+    ),
+    1: ({}, 120416973, {}, 120416973, 120416973),
+    2: ({("s0", "s0p0"): 4}, 140282692, {("s0", "s0p0"): 4}, 140282692, 200282692),
+    6: (
+        {("s0", "s0p0"): 11, ("s2", "s2p0"): 12, ("s3", "s3p0"): 53},
+        133984356,
+        {("s0", "s0p0"): 11, ("s2", "s2p0"): 12, ("s3", "s3p0"): 53},
+        133984356,
+        234254741,
+    ),
+    7: ({("s0", "s0p0"): 12}, 400000000, {("s0", "s0p0"): 11}, 400000000, 452916999),
+    10: (
+        {("s2", "s2p0"): 120},
+        460860098,
+        {("s1", "s1p0"): 3, ("s2", "s2p0"): 70, ("s3", "s3p0"): 7},
+        450000000,
+        460860538,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DESIGNS))
+def test_designs_pinned_on_waters(seed):
+    import random
+
+    from repro.buffers.sizing import design_buffers_greedy
+    from repro.gen import generate_random_scenario
+
+    rng = random.Random(seed)
+    scenario = generate_random_scenario(rng.randint(6, 16), rng)
+    greedy_plan, greedy_after, multi_plan, multi_after, before = PINNED_DESIGNS[seed]
+    greedy = design_buffers_greedy(scenario.system, scenario.sink)
+    multi = design_buffers_multi(scenario.system, scenario.sink)
+    assert (greedy.plan, greedy.bound_before, greedy.bound_after) == (
+        greedy_plan, before, greedy_after
+    )
+    assert (multi.plan, multi.bound_before, multi.bound_after) == (
+        multi_plan, before, multi_after
+    )
+
+
 class TestMultiChainHeuristic:
     def test_merged_improves(self, merged_system):
         design = design_buffers_multi(merged_system, "sink")

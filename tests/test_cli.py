@@ -215,6 +215,26 @@ class TestBenchBaselines:
         full = {"quick": False, "batch": {"speedup": 19.0}}
         assert compare_to_baseline(full, baseline)[0].startswith("batch")
 
+    def test_analysis_section_gates_its_speedup_and_ladder(self):
+        from repro.profile import compare_to_baseline
+
+        row = {"levels": 6, "width": 5, "chains": 15625, "per_chain_us": 4.0}
+        baseline = {
+            "analysis": {"ladder": [row], "speedup": 6.0},
+            "quick_baseline": {"analysis": {"speedup": 5.0}},
+        }
+        slow_row = dict(row, per_chain_us=6.0)
+        full = {"analysis": {"ladder": [slow_row], "speedup": 4.0}}
+        messages = compare_to_baseline(full, baseline)
+        assert [m.split()[0] for m in messages] == ["all-pairs", "backward-bounds"]
+        # The quick entry has no ladder: only the ratio is compared.
+        quick = {"quick": True, "analysis": {"ladder": [slow_row], "speedup": 4.5}}
+        assert compare_to_baseline(quick, baseline) == []
+        # A baseline filed before the all-pairs arm holds the bare rows.
+        legacy = {"analysis": [row]}
+        messages = compare_to_baseline(full, legacy)
+        assert len(messages) == 1 and messages[0].startswith("backward-bounds")
+
     def test_write_files_quick_runs_beside_full_ones(
         self, monkeypatch, tmp_path, capsys
     ):
