@@ -265,11 +265,16 @@ class AnalysisSession:
         return self.disparity(task, method=method) <= threshold
 
     def design_buffers(self, task: str, *, method: str = "forkjoin"):
-        """Multi-chain buffer design (Algorithm 1 generalization)."""
+        """Multi-chain buffer design (Algorithm 1 generalization), under
+        the session's bounds strategy (a LET session designs on LET
+        bounds)."""
         from repro.buffers.sizing import design_buffers_multi
 
         return design_buffers_multi(
-            self._system, task, method=normalize_method(method)
+            self._system,
+            task,
+            method=normalize_method(method),
+            bounds_strategy=self._bounds_strategy,
         )
 
     def with_buffer_plan(

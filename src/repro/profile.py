@@ -401,11 +401,14 @@ def bench_columnar_kernel(
     identical generator states, with the per-replication disparities
     asserted equal.  Each arm calls :func:`repro.sim.batch.run_batch`
     afresh, so both pay one compile per batch and the ratio isolates
-    the replay cost — Python event loop per sim vs one C advance plus
-    vectorized derivation across all sims.  The (min-of-``repeats``)
-    walls, their ratio (the regression-gate metric for the columnar
-    tier) and the columnar phase split (draw/advance/derive seconds,
-    from :data:`repro.sim.batch.PHASE_TIMES`) are reported.  ``sims``
+    the replay cost — Python event loop per sim vs one fused C call
+    (advance and derive, sim after sim) for the whole batch.  The
+    (min-of-``repeats``) walls, their ratio (the regression-gate metric
+    for the columnar tier) and the columnar phase split from
+    :data:`repro.sim.batch.PHASE_TIMES` are reported: ``draw_s`` (numpy
+    variates), ``advance_s`` (the fused kernel call, derive included)
+    and ``derive_s`` (derive-only advance-memo hits — none here, since
+    every batch compiles afresh and nothing shares its memo).  ``sims``
     doubles :func:`bench_batch_kernel`'s default to exercise a wider
     batch — the shape the columnar engine exists for — with the
     per-batch compile cost amortized equally in both arms.
@@ -1417,6 +1420,13 @@ def format_benchmarks(results: Dict[str, Any]) -> str:
             f"{columnar['sims_per_s']:,.1f} sims/s, "
             f"engine {columnar['engine']})"
         )
+        phases = columnar.get("phases")
+        if phases:
+            lines.append(
+                f"  columnar phases: draw {phases['draw_s']:.3f}s,"
+                f" advance+derive {phases['advance_s']:.3f}s,"
+                f" memo-hit derive {phases['derive_s']:.3f}s"
+            )
     fault = results.get("fault")
     if fault is not None:
         lines.append(

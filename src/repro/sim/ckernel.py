@@ -1,19 +1,27 @@
 """Build and bind the columnar C kernel (``_ckernel.c``).
 
-The columnar batch engine runs in three steps — draw in numpy, then
-advance and derive in C — and this module provides the C side: a
-small kernel compiled **on first use** with the host toolchain
-(``$CC``, else ``cc``/``gcc``/``clang``) into a cached shared object —
-no build-time extension, no new dependency.  It exports two entry
-points, bound as :attr:`Kernel.advance` (``columnar_advance``: the
-release streams, built in the kernel on the arithmetic path, plus
-every replication's NP-FP schedule) and :attr:`Kernel.derive`
-(``columnar_derive``: provenance folds and the monitored windowed
-disparity).  The ABI stamp is 4.  Loading is strictly best-effort: any
-failure (no compiler, sandboxed tmpdir, ABI drift) records a reason
-and the batch layer silently falls back to the per-replication
-compiled loop, so the kernel is a pure accelerator, never a
-requirement.
+The columnar batch engine runs in two steps — draw in numpy, then
+one C call — and this module provides the C side: a small kernel
+compiled **on first use** with the host toolchain (``$CC``, else
+``cc``/``gcc``/``clang``) into a cached shared object — no build-time
+extension, no new dependency.  It exports two entry points (ABI 5):
+
+* :attr:`Kernel.advance` (``columnar_advance``) — the fused call.  Per
+  replication it builds the release stream (in the kernel on the
+  arithmetic path), runs the NP-FP schedule into scratch columns one
+  sim wide, and derives the provenance folds and the monitored
+  windowed disparity from them at once.  Given ``(sims, slots)``
+  start/finish/cascade arrays it also copies each sim's columns there
+  (the advance memo, filled only where a capacity sibling reads it).
+* :attr:`Kernel.derive` (``columnar_derive``) — the derive alone over
+  recorded columns: an advance-memo hit.
+
+Both report the step that failed (setup, stream build, advance,
+derive) through a one-element out array.  Loading is strictly
+best-effort: any failure (no compiler, sandboxed tmpdir, ABI drift)
+records a reason and the batch layer silently falls back to the
+per-replication compiled loop, so the kernel is a pure accelerator,
+never a requirement.
 
 Environment knobs:
 
@@ -44,7 +52,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 #: ABI stamp; must match ``REPRO_CKERNEL_ABI`` in ``_ckernel.c``.
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 #: Compile flags when ``REPRO_CKERNEL_CFLAGS`` is unset.
 DEFAULT_CFLAGS = "-O2"
@@ -61,7 +69,9 @@ _P_I32 = ctypes.POINTER(ctypes.c_int32)
 _P_U64 = ctypes.POINTER(ctypes.c_uint64)
 _P_F64 = ctypes.POINTER(ctypes.c_double)
 
-#: ``columnar_advance`` signature (see ``_ckernel.c`` for the layout).
+#: ``columnar_advance`` signature (see ``_ckernel.c`` for the layout):
+#: the advance inputs, the optional memo columns, then the derive
+#: inputs and outputs.
 _ADVANCE_ARGTYPES = [
     _I64, _I64, _I64,          # sims, n, n_units
     _I64, _P_I64, _P_I32,      # stream_w, rel_times, rel_tids
@@ -77,8 +87,13 @@ _ADVANCE_ARGTYPES = [
     _P_I64, _P_I64, _P_I64,    # rel_tab, rel_base, rel_len
     _I64,                      # rel_w
     _P_I64, _P_I64, _I64,      # job_base, job_cap, slots
-    _P_I64, _P_I64, _P_I32,    # starts_out, fins_out, casc_out
+    _P_I64, _P_I64, _P_I32,    # starts_out, fins_out, casc_out (memo)
     _P_I64, _P_I64,            # rec_out, viol_out
+    _I64, _I64,                # n_src, warmup
+    _P_I32, _P_I32, _I64,      # src_col, order, n_order
+    _P_I64, _P_I32, _P_I64,    # edge_ptr, edge_src, edge_cap
+    _I64,                      # gid
+    _P_I64, _P_I64,            # out, step
 ]
 
 #: ``columnar_derive`` signature (see ``_ckernel.c`` for the layout).
@@ -96,7 +111,7 @@ _DERIVE_ARGTYPES = [
     _P_I64, _P_I64, _I64,      # job_base, job_cap, slots
     _P_I64, _P_I64, _P_I64,    # rel_tab, rel_base, rel_len
     _I64,                      # rel_w
-    _P_I64,                    # out
+    _P_I64, _P_I64,            # out, step
 ]
 
 

@@ -162,6 +162,31 @@ class TestSimulation:
             let_session.backward(chain).wcbt + shift
         )
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_let_session_designs_buffers_on_let_bounds(self, seed):
+        """design_buffers analyzes under the session's bounds strategy:
+        a LET session's bound_before is its own LET disparity, not the
+        implicit S-diff, and bound_after is the buffered sibling's."""
+        from repro.let import backward_bounds_let
+
+        scenario = generate_random_scenario(10, random.Random(seed))
+        task = scenario.sink
+        let_session = AnalysisSession(
+            scenario.system,
+            bounds_strategy=backward_bounds_let,
+            semantics="let",
+        )
+        design = let_session.design_buffers(task)
+        assert design.bound_before == let_session.disparity(task)
+        assert design.bound_after == (
+            let_session.with_buffer_plan(design.plan).disparity(task)
+        )
+        implicit = AnalysisSession(scenario.system)
+        assert implicit.design_buffers(task).bound_before == (
+            implicit.disparity(task)
+        )
+        assert design.bound_before != implicit.disparity(task)
+
 
 class TestObservedStats:
     def test_exact_fields_match_observed_batch(self, session, scenario):
